@@ -13,6 +13,7 @@ from typing import Callable, List, Optional
 
 from repro.can.frame import CanFrame
 from repro.node.controller import CanNode
+from repro.node.memo import COUNT, FIXED, VALUE, MemoSpec
 from repro.node.scheduler import PeriodicScheduler, TransmitQueue
 
 
@@ -23,6 +24,19 @@ def _zero_payload(_instance: int) -> bytes:
 class ContinuousSource:
     """Keeps the transmit queue non-empty: the 'continuously sending' DoS
     primitive.  Duck-typed like :class:`PeriodicScheduler`."""
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).
+    ROUND_MEMO = MemoSpec(
+        signature={},
+        accumulators={"emitted": FIXED},
+        excluded={
+            "can_id": "emission config, consulted through next_due()",
+            "payload_fn": "emission config, consulted through next_due()",
+            "limit": "emission config, consulted through next_due()",
+            "start_bits": "emission config, consulted through next_due()",
+            "messages": "empty scheduler-API placeholder",
+        },
+    )
 
     def __init__(
         self,
@@ -87,6 +101,11 @@ class AttackerNode(CanNode):
 
     #: Human-readable attack label, set by subclasses.
     attack_name = "generic"
+
+    ROUND_MEMO = CanNode.ROUND_MEMO.extend(
+        signature={"flush_queue_on_bus_off": VALUE},
+        accumulators={"bus_off_count": COUNT},
+    )
 
     def __init__(
         self,

@@ -21,6 +21,9 @@ class DosAttacker(AttackerNode):
 
     attack_name = "dos"
 
+    ROUND_MEMO = AttackerNode.ROUND_MEMO.extend(excluded={
+        "attack_id": "label only; the queued frames carry the identifier"})
+
     def __init__(
         self,
         name: str,
@@ -48,6 +51,8 @@ class TraditionalDosAttacker(DosAttacker):
 
     attack_name = "traditional-dos"
 
+    ROUND_MEMO = DosAttacker.ROUND_MEMO
+
     def __init__(self, name: str, **kwargs: Any) -> None:
         super().__init__(name, can_id=0x000, **kwargs)
 
@@ -56,6 +61,9 @@ class TargetedDosAttacker(DosAttacker):
     """Floods an ID one below the victim: blocks IDs >= the victim only."""
 
     attack_name = "targeted-dos"
+
+    ROUND_MEMO = DosAttacker.ROUND_MEMO.extend(excluded={
+        "victim_id": "label only; the queued frames carry the identifier"})
 
     def __init__(self, name: str, victim_id: int, **kwargs: Any) -> None:
         if victim_id <= 0:

@@ -18,11 +18,22 @@ from typing import Any, Sequence
 
 from repro.attacks.base import AttackerNode
 from repro.can.frame import CanFrame
+from repro.node.memo import FIXED, MemoSpec
 from repro.node.scheduler import TransmitQueue
 
 
 class _AlternatingSource:
     """Keeps one pending frame at a time, cycling through the attack IDs."""
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).
+    ROUND_MEMO = MemoSpec(
+        signature={},
+        accumulators={"emitted": FIXED},
+        excluded={
+            "can_ids": "emission config, consulted through next_due()",
+            "messages": "empty scheduler-API placeholder",
+        },
+    )
 
     def __init__(self, can_ids: Sequence[int]) -> None:
         if len(can_ids) < 2:
@@ -58,6 +69,9 @@ class ToggleAttacker(AttackerNode):
     """One compromised ECU alternating between several attack IDs."""
 
     attack_name = "toggle-dos"
+
+    ROUND_MEMO = AttackerNode.ROUND_MEMO.extend(excluded={
+        "attack_ids": "label only; the queued frames carry the identifiers"})
 
     def __init__(self, name: str, can_ids: Sequence[int], **kwargs: Any) -> None:
         kwargs.setdefault("flush_queue_on_bus_off", True)

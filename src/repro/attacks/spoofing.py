@@ -29,6 +29,9 @@ class SpoofingAttacker(AttackerNode):
 
     attack_name = "spoofing"
 
+    ROUND_MEMO = AttackerNode.ROUND_MEMO.extend(excluded={
+        "target_id": "label only; the queued frames carry the identifier"})
+
     def __init__(
         self,
         name: str,

@@ -1,4 +1,4 @@
-"""Frame-level fast-forward: chunked clock advancement across uncontended spans.
+"""Fast-forward: chunked clock advancement across spans and repeated rounds.
 
 The per-bit loop in :class:`~repro.bus.simulator.CanBusSimulator` pays the
 full output/resolve/observe cost for every bit, yet MichiCAN's decisions (and
@@ -7,10 +7,12 @@ positions: SOF and arbitration, the ID/commit window where the firmware
 tracks and may counterattack, error frames, and the ACK/EOF trailer.  The
 stretches in between — frame bodies with a single synchronized transmitter,
 and idle recessive gaps (including the 1408-bit bus-off recovery wait) — are
-decision-free.  This module advances the clock across those spans in one
-step each.
+decision-free, and the decisions themselves repeat: under attack the same
+arbitration / counterattack / error-frame round recurs until an error
+state moves.  This module advances the clock across all three in one step
+each.
 
-Two span kinds are recognised:
+Three span kinds are recognised:
 
 **Body spans** — exactly one node is TRANSMITTING somewhere inside its
 precompiled stuffed bitstream, every other node is either a synchronized
@@ -26,21 +28,35 @@ every error path stay per-bit.
 bus stays recessive until the earliest scheduler due time, the earliest
 bus-off recovery bit or the caller's deadline, whichever comes first.
 
+**Replayed rounds** (:class:`~repro.bus.roundmemo.RoundMemo`) — a round runs from one round
+boundary, the bit at which some node arms a transmission start, to the
+next.  At a boundary the engine keys the bus by every node's behaviour
+state, as each node-side class declares it (``ROUND_MEMO``, see
+:mod:`repro.node.memo`).  The first time a key is seen the round is
+stepped per-bit and recorded: wire levels, events, end state, counter
+operations and accumulator deltas.  A later boundary with the same key
+commits the whole round at once and re-emits the recorded events, shifted
+in time, through each node's ``emit``.  The memo only ever replays what the
+per-bit engine itself produced, so the per-bit engine stays the one
+implementation of protocol behaviour.  DESIGN.md ("Round memo") lists the
+signature, the guards and the decline rules.
+
 The determinism contract: a committed span changes simulator state exactly
 as the same number of per-bit steps would — same wire history and counters,
 same parser/controller/firmware state, same queue contents enqueued at the
-same times — and emits **zero** events (the chunked regions are event-free
-by construction, which is why probes, listeners and recorders see a
-byte-identical event stream).  Whenever any precondition fails the engine
-simply declines (:meth:`FastForwardEngine.try_advance` returns 0) and the
-caller steps per-bit; unknown node types, instance-patched hooks, fault
-injectors and custom wires therefore never see a behaviour change.
+same times — and **emits exactly the per-bit event stream** (body and idle
+spans emit nothing; a replayed round emits its recorded events, rebased
+onto the live clock and queue head).  Whenever any precondition fails the
+engine simply declines (:meth:`FastForwardEngine.try_advance` returns 0)
+and the caller steps per-bit; unknown node types, instance-patched hooks,
+fault injectors, custom wires and ``sim.on_event`` listeners therefore
+never see a behaviour change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bus.wire import Wire
 from repro.can.bitstream import Field, WireBit
@@ -52,9 +68,11 @@ from repro.can.constants import (
 )
 from repro.core.detection import FirmwarePhase
 from repro.node.controller import CanNode, ControllerState
+from repro.node.memo import MemoSpec
 from repro.node.rxparser import RxParser
 
 if TYPE_CHECKING:
+    from repro.bus.roundmemo import RoundMemo
     from repro.bus.simulator import CanBusSimulator
 
 #: The two fast-forward policies accepted by ``advance()``/``advance_until``.
@@ -124,6 +142,19 @@ def _class_kind(cls: type) -> int:
     return kind
 
 
+def _patched(obj: object, name: str) -> bool:
+    """True when ``obj`` carries an instance-level ``name`` (a wrapper a
+    fault injector or probe installed over the class's method).
+
+    A method found on the class is a fresh bound method on every lookup;
+    an instance attribute is the same stored object each time.  Not
+    ``name in obj.__dict__``: reading ``__dict__`` makes CPython 3.11+
+    materialize the instance dict, which slows every later attribute
+    access on the object — and these are the per-bit objects.
+    """
+    return getattr(obj, name, None) is getattr(obj, name, None)
+
+
 def _scheduler_safe(scheduler: object) -> bool:
     """True when the scheduler's tick() effects can be replayed in O(1).
 
@@ -131,7 +162,7 @@ def _scheduler_safe(scheduler: object) -> bool:
     (``next_due``/``fast_forward``) and the instance to not carry a
     patched ``tick`` (e.g. the random-ID attacker's per-frame mutation).
     """
-    if "tick" in getattr(scheduler, "__dict__", ()):
+    if _patched(scheduler, "tick"):
         return False
     cls = type(scheduler)
     return (getattr(cls, "fast_forward", None) is not None
@@ -203,29 +234,71 @@ class FramePlan:
         return state
 
 
-class FastForwardStats:
-    """Span counters exposed as ``sim.ff_stats`` for benchmarks and tests."""
+#: Why a round boundary was not replayed, in ``FastForwardStats`` order.
+#: Topology reasons hold for the whole bus, lookup reasons for one round:
+#:
+#: * ``custom_wire`` — not a plain recording :class:`Wire` (fault injection);
+#: * ``listener`` — a ``sim.on_event`` listener may read live node state
+#:   (only listeners marked ``reads_event_only``, like the trace
+#:   collector's, are allowed);
+#: * ``node_class`` — an opaque, passive or undeclared node class, an
+#:   instance-level ``output``/``observe`` or a patched scheduler ``tick``;
+#: * ``rx_callbacks`` — a node has receive callbacks registered;
+#: * ``undeclared`` — a node component (parser, queue, scheduler, firmware,
+#:   ...) has no ``ROUND_MEMO`` declaration;
+#: * ``unseen`` — no recording of this signature yet (the round is recorded);
+#: * ``deadline`` — the round would cross the caller's deadline;
+#: * ``scheduler_due`` — a scheduler would enqueue inside the round;
+#: * ``error_state`` — replaying the counter operations would change a
+#:   node's error state;
+#: * ``recovery`` — a bus-off node would complete its recovery inside.
+ROUND_MISS_REASONS: Tuple[str, ...] = (
+    "custom_wire", "listener", "node_class", "rx_callbacks", "undeclared",
+    "unseen", "deadline", "scheduler_due", "error_state", "recovery",
+)
 
-    __slots__ = ("body_spans", "body_bits", "idle_spans", "idle_bits")
+
+class FastForwardStats:
+    """Span counters exposed as ``sim.ff_stats`` for benchmarks and tests.
+
+    ``round_*`` count the round memo: replayed rounds and their bits,
+    recordings stored, and per reason why a round was not replayed (see
+    :data:`ROUND_MISS_REASONS`).  Topology reasons count engine checks
+    (one per retry tick, the memo never sees a boundary on such a bus);
+    lookup reasons count round boundaries.
+    """
+
+    __slots__ = ("body_spans", "body_bits", "idle_spans", "idle_bits",
+                 "round_spans", "round_bits", "round_records", "round_misses")
 
     def __init__(self) -> None:
         self.body_spans = 0
         self.body_bits = 0
         self.idle_spans = 0
         self.idle_bits = 0
+        self.round_spans = 0
+        self.round_bits = 0
+        self.round_records = 0
+        self.round_misses: Dict[str, int] = dict.fromkeys(ROUND_MISS_REASONS, 0)
 
     @property
     def fast_bits(self) -> int:
         """Total bits advanced without per-bit stepping."""
-        return self.body_bits + self.idle_bits
+        return self.body_bits + self.idle_bits + self.round_bits
 
     def as_dict(self) -> Dict[str, int]:
-        return {
+        counts = {
             "body_spans": self.body_spans,
             "body_bits": self.body_bits,
             "idle_spans": self.idle_spans,
             "idle_bits": self.idle_bits,
+            "round_spans": self.round_spans,
+            "round_bits": self.round_bits,
+            "round_records": self.round_records,
         }
+        for reason, count in self.round_misses.items():
+            counts[f"round_miss_{reason}"] = count
+        return counts
 
 
 @dataclass(frozen=True)
@@ -237,7 +310,7 @@ class SpanCommit:
     of ``sim.events`` — the event stream remains engine-identical.
     """
 
-    kind: str  #: "body" or "idle"
+    kind: str  #: "body", "idle" or "round" (a replayed round)
     start: int  #: first bit time covered by the span
     end: int  #: one past the last bit time covered
     node: Optional[str] = None  #: transmitter name for body spans
@@ -255,15 +328,20 @@ class FastForwardEngine:
         self.stats = FastForwardStats()
         self._plans: Dict[int, FramePlan] = {}
         self._span_listeners: List[Callable[[SpanCommit], None]] = []
+        #: Created at the first round boundary of a memo-eligible bus.
+        self._rounds: Optional[RoundMemo] = None
+        #: True while the round memo may act at the next round boundary:
+        #: the per-bit loop then hands control back at every boundary.
+        self.watch_rounds = False
 
     def on_span(self, listener: Callable[[SpanCommit], None],
                 ) -> Callable[[], None]:
         """Subscribe to span commits; returns an unsubscribe handle.
 
-        Listeners fire after the span's state changes are applied.  They
-        exist for diagnostics (trace annotation, flight recording) — span
-        commits carry no protocol information that the event stream does
-        not, because committed regions are event-free by construction.
+        Listeners fire after the span's state changes (and, for a replayed
+        round, its events) are applied.  They exist for diagnostics (trace
+        annotation, flight recording) — span commits carry no protocol
+        information that the event stream does not.
         """
         self._span_listeners.append(listener)
 
@@ -293,8 +371,14 @@ class FastForwardEngine:
             plan = self._plans[key] = FramePlan(stream)
         return plan
 
-    def try_advance(self, deadline: int) -> int:
+    def try_advance(self, deadline: int, rounds: bool = True) -> int:
         """Fast-forward one span if the bus state allows it.
+
+        At a round boundary (some node armed a transmission start) the
+        round memo replays the coming round when it has seen it before,
+        and otherwise records it while the caller steps it per-bit.
+        ``rounds=False`` (used by ``advance_until``) keeps to the
+        decision-free body and idle spans.
 
         Returns the number of bits advanced (0 = the caller must step
         per-bit; nothing was changed).
@@ -302,6 +386,40 @@ class FastForwardEngine:
         sim = self.sim
         if not sim.nodes:
             return 0  # stepping an empty bus must keep raising
+        memo = self._rounds
+        if rounds:
+            reason = _memo_topology(sim)
+            self.watch_rounds = reason is None
+            if reason is None:
+                if _armed(sim.nodes):
+                    if memo is None:
+                        # Imported at the first boundary: buses that never
+                        # reach one do not pay for loading the memo.
+                        from repro.bus.roundmemo import RoundMemo
+
+                        memo = self._rounds = RoundMemo(self)
+                    return memo.at_boundary(deadline)
+            else:
+                self.stats.round_misses[reason] += 1
+                if memo is not None:
+                    memo.discard()
+        else:
+            self.watch_rounds = False
+            if memo is not None:
+                memo.discard()
+        bits = self._span(deadline)
+        if bits and memo is not None:
+            memo.discard()  # a span inside the round: no longer one round
+        return bits
+
+    def end_advance(self) -> None:
+        """The caller stopped advancing: drop an unfinished recording."""
+        if self._rounds is not None:
+            self._rounds.discard()
+
+    def _span(self, deadline: int) -> int:
+        """Commit one body or idle span, or return 0."""
+        sim = self.sim
         if deadline - sim.time < MIN_SPAN_BITS:
             return 0
         if type(sim.wire) is not Wire:
@@ -325,7 +443,7 @@ class FastForwardEngine:
             active.append(node)
             if node._start_tx_next or node._drive_dominant_once:
                 return 0
-            if "output" in node.__dict__ or "observe" in node.__dict__:
+            if _patched(node, "output") or _patched(node, "observe"):
                 return 0  # node-fault injector wrappers installed
             if not node.listen_only and not _scheduler_safe(node.scheduler):
                 return 0
@@ -491,3 +609,38 @@ class FastForwardEngine:
         if self._span_listeners:
             self._notify_span(SpanCommit("idle", start, end))
         return span
+
+
+# ------------------------------------------------------------- round memo
+
+def _armed(nodes: List[Any]) -> bool:
+    """True at a round boundary: some node will start transmitting next bit
+    (a listen-only node's armed start is a no-op)."""
+    for node in nodes:
+        if getattr(node, "_start_tx_next", False) and not node.listen_only:
+            return True
+    return False
+
+
+def _memo_topology(sim: "CanBusSimulator") -> Optional[str]:
+    """Why the round memo cannot act on this bus at all, or None."""
+    wire = sim.wire
+    if type(wire) is not Wire or not wire.record:
+        return "custom_wire"
+    for listener in sim._event_listeners:
+        # A listener may read live node state at each event (the flight
+        # recorder samples it), which a replayed round cannot reproduce;
+        # only listeners declaring they read the event alone are safe.
+        if not getattr(listener, "reads_event_only", False):
+            return "listener"
+    for node in sim.nodes:
+        cls = type(node)
+        if (not isinstance(cls.__dict__.get("ROUND_MEMO"), MemoSpec)
+                or _class_kind(cls) >= _UNSAFE
+                or _patched(node, "output") or _patched(node, "observe")):
+            return "node_class"
+        if not node.listen_only and not _scheduler_safe(node.scheduler):
+            return "node_class"
+        if node._rx_callbacks:
+            return "rx_callbacks"
+    return None

@@ -10,6 +10,7 @@ and keeps the engine deterministic and replayable.
 from __future__ import annotations
 
 import warnings
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.bus.events import Event
@@ -22,6 +23,9 @@ if TYPE_CHECKING:  # the engine only needs these for typing
     from repro.node.controller import CanNode
 
 _DEPRECATION_WARNED: set = set()
+
+#: A node's "starts transmitting next bit" flag: a round boundary.
+_ARMED = attrgetter("_start_tx_next")
 
 
 def _warn_once(key: str, message: str) -> None:
@@ -203,12 +207,21 @@ class CanBusSimulator:
 
     def _instrumented(self) -> bool:
         # Instrumented simulators (subclass or per-instance step() override)
-        # keep the one-call-per-bit contract.
-        return ("step" in self.__dict__
+        # keep the one-call-per-bit contract.  An instance attribute is the
+        # same object on every lookup (a class method is a fresh bound
+        # method); ``"step" in self.__dict__`` would materialize the
+        # instance dict, which slows every later attribute access on
+        # CPython 3.11+.
+        return (self.step is self.step
                 or type(self).step is not CanBusSimulator.step)
 
-    def _step_bits(self, deadline: int) -> None:
-        """Per-bit stepping until ``deadline`` or a requested stop."""
+    def _step_bits(self, deadline: int, stop_at_round: bool = False) -> None:
+        """Per-bit stepping until ``deadline`` or a requested stop.
+
+        With ``stop_at_round`` the loop also returns after the first bit
+        at which some node arms a transmission start (a round boundary),
+        so the fast-forward engine's round memo sees every boundary.
+        """
         if self._instrumented():
             while self.time < deadline and not self._stop_requested:
                 self.step()
@@ -223,12 +236,16 @@ class CanBusSimulator:
         outputs = self._outputs
         if len(outputs) != len(nodes):
             outputs = self._outputs = [0] * len(nodes)
+        # A listen-only node's armed start is a no-op, not a round boundary.
+        senders = [node for node in nodes if not getattr(node, "listen_only", True)]
         time = self.time
         while time < deadline and not self._stop_requested:
             if len(nodes) != len(output_methods):  # topology changed mid-run
                 output_methods = [node.output for node in nodes]
                 observe_methods = [node.observe for node in nodes]
                 outputs = self._outputs = [0] * len(nodes)
+                senders = [node for node in nodes
+                           if not getattr(node, "listen_only", True)]
             for index, output in enumerate(output_methods):
                 outputs[index] = output(time)
             level = drive(outputs)
@@ -236,16 +253,18 @@ class CanBusSimulator:
                 observe(time, level)
             time += 1
             self.time = time
+            if stop_at_round and any(map(_ARMED, senders)):
+                return
 
     def advance(self, bits: int, *, policy: Optional[str] = None) -> int:
         """Advance the clock ``bits`` bit times (or until :meth:`request_stop`).
 
         Under the "auto" policy (the default) the engine fast-forwards
         uncontended spans — single-transmitter frame bodies and idle gaps —
-        and drops to per-bit stepping everywhere a protocol decision can
-        happen (SOF/arbitration, commit window, error frames, bus-off
-        recovery, counterattacks).  Committed spans are bit-exact: state,
-        wire history and the event stream match per-bit stepping (see
+        and replays rounds (arbitration, counterattack, error frame) it
+        has already stepped once with the same node state; everything else
+        runs per-bit.  Committed spans are bit-exact: state, wire history
+        and the event stream match per-bit stepping (see
         :mod:`repro.bus.fastforward`).  Pass ``policy="off"`` to force
         per-bit stepping for the whole call.
 
@@ -263,11 +282,16 @@ class CanBusSimulator:
             return self.time
         from repro.bus.fastforward import RETRY_INTERVAL_BITS
 
-        try_advance = self._engine().try_advance
-        while self.time < deadline and not self._stop_requested:
-            if try_advance(deadline) == 0:
-                chunk = self.time + RETRY_INTERVAL_BITS
-                self._step_bits(chunk if chunk < deadline else deadline)
+        engine = self._engine()
+        try_advance = engine.try_advance
+        try:
+            while self.time < deadline and not self._stop_requested:
+                if try_advance(deadline) == 0:
+                    chunk = self.time + RETRY_INTERVAL_BITS
+                    self._step_bits(chunk if chunk < deadline else deadline,
+                                    engine.watch_rounds)
+        finally:
+            engine.end_advance()
         return self.time
 
     def advance_until(
@@ -281,8 +305,9 @@ class CanBusSimulator:
 
         Under "auto" the predicate is evaluated after every committed span
         or stepped bit — chunk granularity, which is exact for predicates
-        over controller/firmware state (spans are decision-free, so such
-        predicates cannot flip inside one).  Pass ``policy="off"`` for
+        over controller/firmware state (only decision-free body and idle
+        spans are taken, never replayed rounds, so such predicates cannot
+        flip inside one).  Pass ``policy="off"`` for
         strict per-bit evaluation.  Returns the time at which the predicate
         first held, or None if the limit was reached (or a stop was
         requested) first.
@@ -302,7 +327,9 @@ class CanBusSimulator:
             return None
         try_advance = self._engine().try_advance
         while self.time < deadline:
-            if try_advance(deadline) == 0:
+            # Only decision-free spans: the predicate must not be able to
+            # flip inside a committed span, which a replayed round allows.
+            if try_advance(deadline, rounds=False) == 0:
                 self.step()
             if predicate(self):
                 return self.time

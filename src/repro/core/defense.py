@@ -23,6 +23,7 @@ from repro.core.detection import Detection, MichiCanFirmware
 from repro.core.fsm import DetectionFsm
 from repro.core.pinmux import PinMux
 from repro.node.controller import CanNode
+from repro.node.memo import COUNT, NESTED, VALUE
 from repro.node.scheduler import PeriodicScheduler
 
 
@@ -41,6 +42,13 @@ class MichiCanNode(CanNode):
             given, the node also defends against extended-frame attacks
             (beyond-paper extension).
     """
+
+    ROUND_MEMO = CanNode.ROUND_MEMO.extend(
+        signature={"firmware": NESTED, "_was_attacking": VALUE},
+        accumulators={"_reported_detections": COUNT},
+        excluded={"ecu_config": "offline configuration the firmware's FSM "
+                                "was compiled from"},
+    )
 
     def __init__(
         self,

@@ -42,6 +42,7 @@ from repro.can.constants import (
 )
 from repro.core.fsm import DetectionFsm, FsmRunner, Verdict
 from repro.core.pinmux import PinMux
+from repro.node.memo import COUNTERS, LIST, NESTED, TIMED, VALUE, MemoSpec, Saturating
 
 #: Un-stuffed frame position of the RTR bit with SOF counted as position 1
 #: (Algorithm 1: ``cnt == 13``).
@@ -66,6 +67,10 @@ class FirmwarePhase(enum.Enum):
     WAIT_SOF = "wait-sof"
     TRACKING = "tracking"
     ATTACKING = "attacking"
+
+
+#: Phases in which the per-frame tracking state is read.
+_IN_FRAME = (FirmwarePhase.TRACKING, FirmwarePhase.ATTACKING)
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,37 @@ class MichiCanFirmware:
             classified by this FSM and attacked right after their RTR at
             position 33.
     """
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).  ``_cnt_sof``
+    #: is only ever compared against the 11-bit idle credit; the per-frame
+    #: fields and FSM runners are reset at every SOF, so while waiting for
+    #: one they are leftovers of the last frame (``live``).
+    ROUND_MEMO = MemoSpec(
+        signature={
+            "pinmux": NESTED, "prevention_enabled": VALUE,
+            "trigger_position": VALUE, "attack_duration": VALUE,
+            "phase": VALUE, "_runner": NESTED, "_ext_runner": NESTED,
+            "_extended_frame": VALUE, "_cnt": VALUE,
+            "_cnt_sof": Saturating(BUS_IDLE_RECESSIVE_BITS), "_id_bits": LIST,
+            "_start_counterattack": VALUE, "_last_value": VALUE,
+            "_run_length": VALUE, "_attack_remaining": VALUE,
+            "_flag_suppressed": VALUE,
+        },
+        accumulators={"counters": COUNTERS, "detections": TIMED},
+        excluded={
+            "fsm": "compiled detection table; only the corrupt_fsm fault "
+                   "edits it, and fault injectors decline the memo",
+            "extended_fsm": "compiled detection table, never mutated",
+        },
+        live={
+            **{name: ("phase", _IN_FRAME) for name in (
+                "_runner", "_ext_runner", "_extended_frame", "_cnt",
+                "_id_bits", "_start_counterattack", "_last_value",
+                "_run_length", "_flag_suppressed")},
+            # Set by _launch(), the only way into ATTACKING.
+            "_attack_remaining": ("phase", (FirmwarePhase.ATTACKING,)),
+        },
+    )
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.can.constants import ID_BITS, NUM_STD_IDS
 from repro.can.intervals import IdIntervalSet, as_interval_set
 from repro.errors import ConfigurationError
+from repro.node.memo import VALUE, MemoSpec
 
 #: Identifier width of CAN 2.0B extended frames.
 EXTENDED_ID_BITS = 29
@@ -207,6 +208,13 @@ class DetectionFsm:
 
 class FsmRunner:
     """Per-frame FSM cursor: feed ID bits MSB-first, read the verdict."""
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).
+    ROUND_MEMO = MemoSpec(
+        signature={"_state": VALUE, "verdict": VALUE, "decision_bit": VALUE,
+                   "_bits_consumed": VALUE},
+        excluded={"_fsm": "the firmware's compiled table (see its fsm field)"},
+    )
 
     def __init__(self, fsm: DetectionFsm) -> None:
         self._fsm = fsm

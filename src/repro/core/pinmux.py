@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.can.constants import DOMINANT, RECESSIVE
 from repro.errors import ConfigurationError
+from repro.node.memo import TIMED, VALUE, MemoSpec
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,13 @@ class PinMux:
     multiplexing toggles around counterattacks; while enabled, the driven
     level is whatever :meth:`pull_low` / :meth:`release` last set.
     """
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).
+    ROUND_MEMO = MemoSpec(
+        signature={"rx_mux_enabled": VALUE, "tx_mux_enabled": VALUE,
+                   "_tx_level": VALUE},
+        accumulators={"operations": TIMED},
+    )
 
     def __init__(self) -> None:
         self.rx_mux_enabled = True

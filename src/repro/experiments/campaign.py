@@ -146,6 +146,12 @@ class ScenarioSpec:
     faults: Optional[FaultPlan] = None
     engine: str = "fast"
 
+    def __post_init__(self) -> None:
+        # Unregistered names are left to build(), which lists the choices.
+        factory = _REGISTRY.get(self.scenario)
+        if factory is not None:
+            _check_params(self.scenario, factory, self.params)
+
     @property
     def name(self) -> str:
         return self.label or f"{self.scenario}#{self.seed}"
@@ -208,6 +214,26 @@ class ScenarioSpec:
             faults=None if not faults_data else FaultPlan.from_dict(faults_data),
             engine=data.get("engine", "fast"),
         )
+
+
+def _check_params(name: str, factory: ScenarioFactory,
+                  params: Mapping[str, Any]) -> None:
+    """Refuse a spec that leaves a required factory parameter unset,
+    naming it, so the spec fails when it is made rather than with a
+    ``TypeError`` deep inside ``build()``."""
+    try:
+        accepted = inspect.signature(factory).parameters
+    except (TypeError, ValueError):  # builtins without signatures
+        return
+    named = (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+             inspect.Parameter.KEYWORD_ONLY)
+    missing = [param for param, info in accepted.items()
+               if info.kind in named and info.default is info.empty
+               and param not in params and param != "seed"]
+    if missing:
+        raise ConfigurationError(
+            f"scenario {name!r}: missing required parameter(s) "
+            f"{', '.join(missing)} (accepted: {', '.join(accepted)})")
 
 
 def spec_key(spec: ScenarioSpec) -> str:

@@ -62,6 +62,7 @@ from repro.can.errors import CanError, CanErrorType
 from repro.can.frame import CanFrame
 from repro.node.faults import ErrorState, FaultConfinement, StateTransition
 from repro.node.filters import FilterBank
+from repro.node.memo import NESTED, REF, STAMP, VALUE, Bounded, MemoSpec
 from repro.node.rxparser import RxEventKind, RxParser
 from repro.node.scheduler import PeriodicScheduler, TransmitQueue
 
@@ -80,6 +81,11 @@ class ControllerState(enum.Enum):
     INTERMISSION = "intermission"
     SUSPEND = "suspend"
     BUS_OFF = "bus-off"
+
+    #: The member's observe handler, bound below :class:`CanNode` so the
+    #: per-bit dispatch is an attribute read rather than an ``Enum.__hash__``
+    #: dict lookup.
+    observer: "Callable[[CanNode, int, int], None]"
 
 
 EventSink = Callable[[Event], None]
@@ -102,6 +108,57 @@ class CanNode:
             no transmissions, no ACK, no (active) error flags — exactly the
             silent tap mode real controllers offer to IDS devices.
     """
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).  Per-state
+    #: bookkeeping is reset on entering its state, so outside it the field
+    #: is a stale leftover and stays out of the key (``live``); the parser
+    #: is reset at every SOF the node sees or sends.
+    ROUND_MEMO = MemoSpec(
+        signature={
+            "state": VALUE, "listen_only": VALUE, "auto_recover": VALUE,
+            "parser": NESTED, "queue": NESTED, "faults": NESTED,
+            "scheduler": NESTED,
+            "_tx_stream": REF, "_tx_index": VALUE, "_tx_started_at": STAMP,
+            "_tx_pre_rtr_fields": VALUE, "_start_tx_next": VALUE,
+            "_drive_dominant_once": VALUE, "_sent_this_bit": VALUE,
+            "_flag_remaining": VALUE, "_passive_run_level": VALUE,
+            "_passive_run_length": VALUE, "_passive_flag_saw_dominant": VALUE,
+            "_pending_tec_ack": VALUE, "_delim_count": VALUE,
+            "_delim_first_bit": VALUE, "_delim_dominant_run": VALUE,
+            "_delim_overload": VALUE, "_err_role_transmitter": VALUE,
+            "_overload_count": VALUE, "_intermission_count": VALUE,
+            "_suspend_count": VALUE, "_was_transmitter": VALUE,
+            "_busoff_recessive_run": VALUE, "_time": STAMP,
+        },
+        accumulators={
+            "_busoff_sequences": Bounded(BUS_OFF_RECOVERY_SEQUENCES),
+        },
+        excluded={
+            "name": "identity: events carry it, behaviour never reads it",
+            "filters": "gates only the receive callbacks, and lookups "
+                       "decline while a node has any",
+            "_event_sink": "simulator wiring; replayed events go through emit()",
+            "_rx_callbacks": "lookups decline while any is registered",
+        },
+        live={
+            "parser": ("state", (ControllerState.RECEIVING,
+                                 ControllerState.TRANSMITTING)),
+            "_tx_stream": ("state", (ControllerState.TRANSMITTING,)),
+            "_tx_index": ("state", (ControllerState.TRANSMITTING,)),
+            "_tx_pre_rtr_fields": ("state", (ControllerState.TRANSMITTING,)),
+            "_flag_remaining": ("state", (ControllerState.ACTIVE_ERROR_FLAG,
+                                          ControllerState.OVERLOAD_FLAG)),
+            "_passive_run_level": ("state", (ControllerState.PASSIVE_ERROR_FLAG,)),
+            "_passive_run_length": ("state", (ControllerState.PASSIVE_ERROR_FLAG,)),
+            "_passive_flag_saw_dominant": (
+                "state", (ControllerState.PASSIVE_ERROR_FLAG,)),
+            "_pending_tec_ack": ("state", (ControllerState.PASSIVE_ERROR_FLAG,)),
+            "_delim_count": ("state", (ControllerState.ERROR_DELIMITER,)),
+            "_intermission_count": ("state", (ControllerState.INTERMISSION,)),
+            "_suspend_count": ("state", (ControllerState.SUSPEND,)),
+            "_busoff_recessive_run": ("state", (ControllerState.BUS_OFF,)),
+        },
+    )
 
     def __init__(
         self,
@@ -275,8 +332,7 @@ class CanNode:
 
     def observe(self, time: int, level: int) -> None:
         """Phase 2: react to the resolved bus ``level`` of bit ``time``."""
-        handler = _OBSERVE_DISPATCH[self.state]
-        handler(self, time, level)
+        self.state.observer(self, time, level)
 
     # ------------------------------------------------------------- transitions
 
@@ -611,7 +667,7 @@ class CanNode:
             self._enter_idle_maybe_start()
 
 
-_OBSERVE_DISPATCH = {
+for _state, _observer in {
     ControllerState.IDLE: CanNode._observe_idle,
     ControllerState.RECEIVING: CanNode._observe_receiving,
     ControllerState.TRANSMITTING: CanNode._observe_transmitting,
@@ -623,4 +679,5 @@ _OBSERVE_DISPATCH = {
     ControllerState.INTERMISSION: CanNode._observe_intermission,
     ControllerState.SUSPEND: CanNode._observe_suspend,
     ControllerState.BUS_OFF: CanNode._observe_bus_off,
-}
+}.items():
+    _state.observer = _observer

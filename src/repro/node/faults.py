@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.can.constants import (
     BUS_OFF_THRESHOLD,
@@ -20,6 +20,10 @@ from repro.can.constants import (
     TEC_ERROR_INCREMENT,
     TEC_SUCCESS_DECREMENT,
 )
+from repro.node.memo import FIXED, OPS, VALUE, MemoSpec
+
+#: One journaled counter-hook call: (method name, time, extra arguments).
+HookCall = Tuple[str, int, Tuple[Any, ...]]
 
 
 class ErrorState(enum.Enum):
@@ -57,6 +61,23 @@ class FaultConfinement:
     _state: ErrorState = ErrorState.ERROR_ACTIVE
     #: Optional observer called on every state change.
     on_transition: Optional[Callable[[StateTransition], None]] = None
+    #: While a list, every counter hook call is appended to it (the round
+    #: memo records a round's counter operations this way).
+    journal: Optional[List[HookCall]] = field(
+        default=None, repr=False, compare=False)
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).  A round's
+    #: behaviour reads only the error *state*; the counters are replayed as
+    #: the journaled hook calls, because the REC clamp is not linear.
+    ROUND_MEMO = MemoSpec(
+        signature={"_state": VALUE},
+        accumulators={"tec": OPS, "rec": OPS, "transitions": FIXED},
+        excluded={
+            "on_transition": "owner wiring; fires only on a state change, "
+                             "which discards the recording",
+            "journal": "the memo's own recording buffer",
+        },
+    )
 
     @property
     def state(self) -> ErrorState:
@@ -96,21 +117,29 @@ class FaultConfinement:
 
     def on_transmit_error(self, time: int) -> None:
         """Transmitter detected an error in its own frame: TEC += 8."""
+        if self.journal is not None:
+            self.journal.append(("on_transmit_error", time, ()))
         self.tec += TEC_ERROR_INCREMENT
         self._recompute_state(time)
 
     def on_receive_error(self, time: int) -> None:
         """Receiver detected an error: REC += 1."""
+        if self.journal is not None:
+            self.journal.append(("on_receive_error", time, ()))
         self.rec += REC_ERROR_INCREMENT
         self._recompute_state(time)
 
     def on_transmit_success(self, time: int) -> None:
         """Frame transmitted and acknowledged: TEC -= 1 (floor 0)."""
+        if self.journal is not None:
+            self.journal.append(("on_transmit_success", time, ()))
         self.tec = max(0, self.tec - TEC_SUCCESS_DECREMENT)
         self._recompute_state(time)
 
     def on_receive_success(self, time: int) -> None:
         """Frame received without error: REC -= 1 (floor 0; clamp from >127)."""
+        if self.journal is not None:
+            self.journal.append(("on_receive_success", time, ()))
         if self.rec > ERROR_PASSIVE_THRESHOLD - 1:
             # ISO 11898-1: set REC to a value between 119 and 127.
             self.rec = ERROR_PASSIVE_THRESHOLD - 9
@@ -124,6 +153,8 @@ class FaultConfinement:
         ISO 11898-1 rule: the receiver that reports the error last (its flag
         is still answered by dominant bits) escalates faster.
         """
+        if self.journal is not None:
+            self.journal.append(("on_receiver_flag_escalation", time, ()))
         self.rec += 8
         self._recompute_state(time)
 
@@ -135,6 +166,8 @@ class FaultConfinement:
         each further sequence of 8, every transmitter adds 8 to its TEC and
         every receiver adds 8 to its REC.
         """
+        if self.journal is not None:
+            self.journal.append(("on_flag_overrun_escalation", time, (as_transmitter,)))
         if as_transmitter:
             self.tec += TEC_ERROR_INCREMENT
         else:

@@ -31,6 +31,7 @@ from repro.can.constants import (
 from repro.can.crc import crc15_update
 from repro.can.errors import CanErrorType
 from repro.can.frame import CanFrame
+from repro.node.memo import LIST, VALUE, MemoSpec
 
 
 class RxPhase(enum.Enum):
@@ -52,11 +53,17 @@ class RxPhase(enum.Enum):
     EOF = "eof"
     DONE = "done"
 
+    #: True for the bit-stuffed phases (set below), read per bit instead of
+    #: a set membership test that would hash the member.
+    stuffed: bool
+
 
 _STUFFED_PHASES = frozenset({
     RxPhase.ID, RxPhase.RTR, RxPhase.IDE, RxPhase.EXT_ID, RxPhase.EXT_RTR,
     RxPhase.R1, RxPhase.R0, RxPhase.DLC, RxPhase.DATA, RxPhase.CRC,
 })
+for _phase in RxPhase:
+    _phase.stuffed = _phase in _STUFFED_PHASES
 
 
 class RxEventKind(enum.Enum):
@@ -83,6 +90,17 @@ class RxParser:
     :attr:`drive_ack_next` (drive the next bit dominant to acknowledge) and
     :attr:`crc_ok` are up to date.
     """
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`): the whole
+    #: :meth:`snapshot` is behaviour state.
+    ROUND_MEMO = MemoSpec(signature={
+        "phase": VALUE, "_field_bits": LIST, "can_id": VALUE,
+        "extended": VALUE, "remote": VALUE, "_base_id": VALUE, "dlc": VALUE,
+        "_data_bits": LIST, "_crc_bits": LIST, "_crc": VALUE,
+        "_run_level": VALUE, "_run_length": VALUE, "drive_ack_next": VALUE,
+        "crc_ok": VALUE, "ack_seen": VALUE, "raw_index": VALUE,
+        "unstuffed_index": VALUE,
+    })
 
     def __init__(self) -> None:
         self.reset()
@@ -178,7 +196,7 @@ class RxParser:
         self.raw_index += 1
         self.drive_ack_next = False
 
-        in_stuffed = self.phase in _STUFFED_PHASES
+        in_stuffed = self.phase.stuffed
         # A run of five equal bits ending on the very last CRC bit forces one
         # final stuff bit *before* the CRC delimiter (stuffing covers the CRC
         # sequence inclusive), so the expectation extends one phase further.
@@ -211,9 +229,8 @@ class RxParser:
     # -- field consumption ----------------------------------------------------
 
     def _consume_unstuffed(self, level: int) -> RxEvent:
-        if self.phase in (RxPhase.ID, RxPhase.RTR, RxPhase.IDE, RxPhase.EXT_ID,
-                          RxPhase.EXT_RTR, RxPhase.R1, RxPhase.R0,
-                          RxPhase.DLC, RxPhase.DATA):
+        if self.phase is not RxPhase.CRC:
+            # Every stuffed phase but the CRC itself feeds the CRC register.
             self._crc = crc15_update(self._crc, level)
 
         if self.phase is RxPhase.ID:

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.can.frame import CanFrame
 from repro.errors import SchedulingError
+from repro.node.memo import FIXED, HEAD, MemoSpec
 
 
 @dataclass
@@ -36,6 +37,16 @@ class TransmitQueue:
     lost arbitration until :meth:`on_success` — CAN controllers retransmit
     automatically.
     """
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`).  A memoized
+    #: round may only count attempts on the head frame; any other queue
+    #: change discards the recording.
+    ROUND_MEMO = MemoSpec(
+        signature={"_pending": HEAD},
+        accumulators={"completed": FIXED},
+        excluded={"_capacity": "read only by enqueue(), and a memoized "
+                               "round never enqueues"},
+    )
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self._pending: List[PendingTransmission] = []
@@ -140,6 +151,17 @@ class PeriodicScheduler:
     scheduler per node models a PCAN-style replay interface or a normal ECU
     application emitting its periodic messages.
     """
+
+    #: Round-memo declaration (see :mod:`repro.node.memo`): lookups
+    #: decline when :meth:`next_due` falls inside the round, so a replayed
+    #: round never ticks an emission.
+    ROUND_MEMO = MemoSpec(signature={}, excluded={
+        "messages": "emission schedule, consulted through next_due() at "
+                    "every lookup; an emission discards the recording",
+        "_no_enqueue_before": "tick() cache of the earliest due time; a "
+                              "replayed round emits nothing, so it stays "
+                              "valid",
+    })
 
     def __init__(self, messages: Optional[List[PeriodicMessage]] = None) -> None:
         self.messages: List[PeriodicMessage] = list(messages or [])

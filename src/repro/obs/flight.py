@@ -281,11 +281,14 @@ def render_dump(dump: Dict[str, Any], events: int = 20,
         if not entries:
             lines.append("  (no decodable activity)")
     stats = dump.get("ff_stats", {})
-    if stats.get("body_spans") or stats.get("idle_spans"):
+    if (stats.get("body_spans") or stats.get("idle_spans")
+            or stats.get("round_spans")):
         lines.append("")
         lines.append(
             f"fast-forward: {stats.get('body_spans', 0)} body spans "
             f"({stats.get('body_bits', 0)} bits), "
             f"{stats.get('idle_spans', 0)} idle spans "
-            f"({stats.get('idle_bits', 0)} bits)")
+            f"({stats.get('idle_bits', 0)} bits), "
+            f"{stats.get('round_spans', 0)} replayed rounds "
+            f"({stats.get('round_bits', 0)} bits)")
     return "\n".join(lines)

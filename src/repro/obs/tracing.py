@@ -13,15 +13,15 @@ schema-versioned JSONL or as Chrome ``trace_event`` JSON loadable in
 Perfetto / ``chrome://tracing`` (``repro trace export``).
 
 Engine neutrality: the collector is a pure function of the event stream
-(plus the final clock at :meth:`~TraceCollector.finalize`).  Fast-forward
-spans are event-free by construction and never enclose a lifecycle
-boundary — SOF, arbitration, detection, error and EOF handling all stay
-per-bit — so the fast and bit engines *synthesize identical span streams*
-with no special-casing; the differential suite asserts byte equality.
+(plus the final clock at :meth:`~TraceCollector.finalize`).  Every
+fast-forward span emits exactly the per-bit event stream — body and idle
+spans none, a replayed round its recorded events — so the fast and bit
+engines *synthesize identical span streams* with no special-casing; the
+differential suite asserts byte equality.
 :class:`~repro.bus.fastforward.SpanCommit` subscriptions
 (``include_engine_spans=True``) add purely diagnostic ``ff.body`` /
-``ff.idle`` annotation spans on a separate track; they are engine
-artifacts and excluded from the equality contract.
+``ff.idle`` / ``ff.round`` annotation spans on a separate track; they
+are engine artifacts and excluded from the equality contract.
 
 Span taxonomy (see ``docs/tracing.md``):
 
@@ -192,6 +192,11 @@ class TraceCollector:
         handler = self._dispatch.get(type(event))
         if handler is not None:
             handler(event)
+
+    # Spans are built from the events alone (no live node or clock state),
+    # so the fast-forward round memo may keep replaying rounds while a
+    # collector listens (see repro.bus.fastforward).
+    _on_event.reads_event_only = True  # type: ignore[attr-defined]
 
     def _inflight(self) -> Optional[Span]:
         """The unique open frame span, when arbitration has resolved.

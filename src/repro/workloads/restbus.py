@@ -28,6 +28,9 @@ class RestbusNode(CanNode):
         payload_factory: Payload generation per message.
     """
 
+    ROUND_MEMO = CanNode.ROUND_MEMO.extend(excluded={
+        "matrix": "configuration the scheduler was built from"})
+
     def __init__(
         self,
         name: str,

@@ -66,6 +66,20 @@ class TestScenarioSpec:
                               duration_bits=6_000).run()
         assert len(result.episodes) == 2
 
+    @pytest.mark.parametrize("name, missing", [
+        ("dos_fight", "attack_id"),
+        ("multi_attacker", "num_attackers"),
+    ])
+    def test_missing_required_param_fails_at_construction(self, name, missing):
+        with pytest.raises(ConfigurationError, match=missing):
+            ScenarioSpec(name)
+        with pytest.raises(ConfigurationError, match=missing):
+            ScenarioSpec.from_dict({"scenario": name})
+
+    def test_required_params_given_builds(self):
+        setup = ScenarioSpec("dos_fight", {"attack_id": 0x064}).build()
+        assert setup.sim.nodes
+
 
 class TestExecuteSpec:
     def test_record_carries_timing_metadata(self):

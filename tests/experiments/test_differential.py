@@ -4,12 +4,24 @@ Every registered scenario runs twice from the identical spec — once with
 ``engine="fast"`` and once with ``engine="bit"`` — across three seeds.
 The event streams, final simulator state, result payloads and metrics
 summaries must match exactly; any divergence is a fast-path correctness
-bug (see the determinism contract in :mod:`repro.bus.fastforward`).
+bug (see the determinism contract in :mod:`repro.bus.fastforward`).  The
+final state covers every field a span or a replayed round writes.
 """
 
-import pytest
+import enum
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.attacks.dos import DosAttacker
+from repro.can.frame import CanFrame
+from repro.core.defense import MichiCanNode
 from repro.experiments.campaign import ScenarioSpec, scenario_names
+from repro.experiments.runner import make_simulator
+from repro.experiments.scenarios import DEFENDER_ID, _restbus, detection_ids_for
+from repro.node.controller import CanNode
+from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
 
 #: Factories whose required positional arguments have no defaults.
 REQUIRED_PARAMS = {
@@ -32,6 +44,48 @@ def _run(name, seed, engine, metrics=False):
     return setup.sim, result
 
 
+_SCALARS = (int, str, type(None), enum.Enum, frozenset)
+
+
+def _emissions(scheduler):
+    """How many frames a scheduler has produced (per message if periodic)."""
+    return (getattr(scheduler, "emitted", None),
+            [message.emitted for message in getattr(scheduler, "messages", [])
+             if hasattr(message, "emitted")])
+
+
+def _firmware_state(firmware):
+    return {
+        "counters": dict(vars(firmware.counters)),
+        "detections": list(firmware.detections),
+        "cnt_sof": firmware._cnt_sof,
+        "scalars": {key: value for key, value in vars(firmware).items()
+                    if isinstance(value, _SCALARS)},
+        "id_bits": list(firmware._id_bits),
+        "runner": (firmware._runner._state, firmware._runner.verdict,
+                   firmware._runner.decision_bit),
+        "pinmux": (firmware.pinmux.tx_mux_enabled, firmware.pinmux.drive_level,
+                   list(firmware.pinmux.operations)),
+    }
+
+
+def _node_state(node):
+    firmware = getattr(node, "firmware", None)
+    return {
+        "state": (node.state.name, node.tec, node.rec),
+        "controller": {key: value for key, value in vars(node).items()
+                       if isinstance(value, _SCALARS)},
+        "parser": node.parser.snapshot(),
+        "transitions": list(node.faults.transitions),
+        "queue": [(p.frame, p.enqueued_at, p.attempts)
+                  for p in node.queue._pending],
+        "completed": [(p.frame, p.enqueued_at, p.attempts, p.completed_at)
+                      for p in node.queue.completed],
+        "emitted": _emissions(node.scheduler),
+        "firmware": None if firmware is None else _firmware_state(firmware),
+    }
+
+
 def _fingerprint(sim):
     """Everything per-bit stepping determines, in comparable form."""
     return {
@@ -39,10 +93,9 @@ def _fingerprint(sim):
         "events": [repr(e) for e in sim.events],
         "history": list(sim.wire.history),
         "level": sim.wire.level,
-        "node_states": {
-            node.name: (node.state.name, node.tec, node.rec)
-            for node in sim.nodes if hasattr(node, "state")
-        },
+        "wire_counts": (sim.wire.total_bits, sim.wire.dominant_bits),
+        "nodes": {node.name: _node_state(node)
+                  for node in sim.nodes if hasattr(node, "state")},
     }
 
 
@@ -82,6 +135,16 @@ def test_fast_engine_actually_fast_forwards():
     assert stats.fast_bits > DURATION // 2
 
 
+def test_fast_engine_replays_rounds():
+    """The paper's fight must take the round memo, not merely agree with
+    it: exp2 repeats one counterattack round until the error state moves."""
+    sim, _ = _run("exp2", 0, "fast")
+    stats = sim.ff_stats
+    assert stats.round_records > 0
+    assert stats.round_spans > stats.round_records
+    assert stats.round_bits > DURATION // 4
+
+
 # ------------------------------------------------------------ trace spans
 
 def _trace_spans(name, seed, engine):
@@ -104,10 +167,11 @@ def _trace_spans(name, seed, engine):
 def test_trace_spans_agree(name, seed):
     """Both engines synthesize byte-identical lifecycle span streams.
 
-    Fast-forward spans are event-free by construction and never enclose
-    a lifecycle boundary, so the purely event-driven collector must see
-    the same events at the same times either way — ids, parents, begins,
-    ends and attrs all included.
+    Fast-forward spans emit exactly the per-bit event stream (replayed
+    rounds included: the collector reads events only, so rounds keep
+    replaying while it listens), so the purely event-driven collector
+    must see the same events at the same times either way — ids,
+    parents, begins, ends and attrs all included.
     """
     assert (_trace_spans(name, seed, "fast")
             == _trace_spans(name, seed, "bit"))
@@ -144,3 +208,88 @@ def test_fast_engine_still_fast_forwards_with_snapshots():
     setup.sim.add_node(SnapshotRecorder(BusProbe(setup.sim), 1_000))
     setup.run(config=spec.run_config())
     assert setup.sim.ff_stats.fast_bits > DURATION // 4
+
+
+# ------------------------------------------------------- random topologies
+
+class PayloadChangingAttacker(DosAttacker):
+    """Floods one ID but changes the payload on every (re)transmission
+    attempt, like the attacks that vary the frame between attempts
+    (Rogers & Rasmussen, CANflict): no two rounds are alike, so the round
+    memo must miss every time rather than replay a stale round."""
+
+    ROUND_MEMO = DosAttacker.ROUND_MEMO
+
+    def _begin_transmission(self, time):
+        pending = self.queue.peek()
+        pending.frame = CanFrame(pending.frame.can_id,
+                                 bytes([pending.attempts % 256]) * 8)
+        super()._begin_transmission(time)
+
+
+def _random_bus(attack_ids, period, restbus, payload_changes):
+    sim = make_simulator()
+    legitimate = _restbus(sim).matrix.all_ids() if restbus else []
+    sim.add_node(MichiCanNode(
+        "defender", detection_ids_for(DEFENDER_ID, legitimate),
+        scheduler=PeriodicScheduler([PeriodicMessage(
+            DEFENDER_ID, period_bits=25_000, offset_bits=977)])))
+    for index, can_id in enumerate(attack_ids):
+        name = f"attacker{index}"
+        if payload_changes and index == 0:
+            node = PayloadChangingAttacker(name, can_id)
+        elif period is None:
+            node = DosAttacker(name, can_id)
+        else:
+            node = CanNode(name, scheduler=PeriodicScheduler(
+                [PeriodicMessage(can_id, period_bits=period,
+                                 offset_bits=index * 7)]))
+        sim.add_node(node)
+    return sim
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(attack_ids=st.lists(st.integers(0, DEFENDER_ID), min_size=1,
+                           max_size=3, unique=True),
+       period=st.one_of(st.none(), st.integers(150, 3_000)),
+       restbus=st.booleans(),
+       payload_changes=st.booleans(),
+       bits=st.integers(2_000, 6_000))
+def test_random_buses_agree(attack_ids, period, restbus, payload_changes, bits):
+    """Random attacker IDs, counts, periods and restbus on or off: the
+    fast engine (spans and replayed rounds) equals per-bit stepping."""
+    fast = _random_bus(attack_ids, period, restbus, payload_changes)
+    fast.advance(bits)
+    slow = _random_bus(attack_ids, period, restbus, payload_changes)
+    slow.advance(bits, policy="off")
+    assert _fingerprint(fast) == _fingerprint(slow)
+
+
+def test_payload_changing_attacker_never_replays():
+    sim = _random_bus([0x064], None, restbus=False, payload_changes=True)
+    sim.advance(DURATION)
+    stats = sim.ff_stats
+    assert stats.round_misses["unseen"] > 0  # the memo looked every round
+    assert stats.round_records == 0 and stats.round_spans == 0
+    slow = _random_bus([0x064], None, restbus=False, payload_changes=True)
+    slow.advance(DURATION, policy="off")
+    assert _fingerprint(sim) == _fingerprint(slow)
+
+
+def test_listen_only_tap_with_a_queued_frame_agrees():
+    """A listen-only tap holding a frame arms a start at every idle bit
+    but never sends: its arms are no round boundaries (or every idle bit
+    would be one), and the fight around it still replays exactly."""
+    def bus():
+        sim = _random_bus([0x064], None, restbus=False, payload_changes=False)
+        tap = sim.add_node(CanNode("tap", listen_only=True))
+        tap.send(CanFrame(0x300, b"\x01"))
+        return sim
+
+    fast, slow = bus(), bus()
+    for _ in range(DURATION // 500):  # compare inside idle stretches too
+        fast.advance(500)
+        slow.advance(500, policy="off")
+        assert _fingerprint(fast) == _fingerprint(slow)
+    assert fast.ff_stats.round_spans > 0
+    assert fast.ff_stats.round_misses["unseen"] < 100

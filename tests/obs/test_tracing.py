@@ -165,6 +165,17 @@ class TestEngineSpans:
         assert [span.span_id for span in spans] == list(
             range(1, len(spans) + 1))
 
+    def test_replayed_rounds_recorded(self):
+        sim = CanBusSimulator()
+        sim.add_node(MichiCanNode("defender", range(0x100)))
+        sim.add_node(DosAttacker("attacker", 0x064))
+        collector = TraceCollector(sim, include_engine_spans=True)
+        sim.advance(6_000)
+        collector.finalize()
+        rounds = [span for span in collector.engine_spans
+                  if span.name == "ff.round"]
+        assert rounds and len(rounds) == sim.ff_stats.round_spans
+
     def test_engine_spans_off_by_default(self):
         sim = quiet_sim()
         collector = TraceCollector(sim)

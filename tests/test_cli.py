@@ -170,6 +170,10 @@ class TestCliCampaign:
     def test_run_unknown_scenario(self, capsys):
         assert main(["campaign", "run", "--scenario", "bogus"]) == 2
 
+    def test_run_missing_required_param(self, capsys):
+        assert main(["campaign", "run", "--scenario", "dos_fight"]) == 2
+        assert "attack_id" in capsys.readouterr().err
+
     def test_run_without_specs(self, capsys):
         assert main(["campaign", "run"]) == 2
 
