@@ -16,7 +16,8 @@ from conftest import report
 from repro.bus.events import BusOffEntered, FrameTransmitted
 from repro.bus.simulator import CanBusSimulator
 from repro.core.defense import MichiCanNode
-from repro.faults import FaultInjectingWire, flip_fault
+from repro.faults.plan import flip_fault
+from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
 

@@ -14,7 +14,8 @@ from repro.bus.events import BusOffEntered, BusOffRecovered, FrameTransmitted
 from repro.bus.simulator import CanBusSimulator
 from repro.core.defense import MichiCanNode
 from repro.experiments.scenarios import detection_ids_for
-from repro.faults import FaultInjectingWire, flip_fault
+from repro.faults.plan import flip_fault
+from repro.faults.wire import FaultInjectingWire
 from repro.trace.framelog import FrameLog
 from repro.workloads.restbus import RestbusNode
 from repro.workloads.matrix import theoretical_bus_load

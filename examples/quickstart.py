@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CanBusSimulator, CanNode, MichiCanNode, PeriodicMessage, PeriodicScheduler
-from repro.attacks import TraditionalDosAttacker
+from repro.attacks.dos import TraditionalDosAttacker
 from repro.bus.events import (
     AttackDetected,
     BusOffEntered,

@@ -2,191 +2,3 @@
 times, latency, CPU, the config verifier, the whole-program call graph,
 the concurrency-safety analyzer, and the stuff-bit-aware FSM model
 checker."""
-
-from repro.analysis.busload import (
-    BusLoadComparison,
-    bus_load,
-    compare_defenses,
-    counterattack_spike_factor,
-    deadline_relative_overhead,
-    parrot_flooding_overhead,
-)
-from repro.analysis.busoff_theory import (
-    BEST_CASE_PREFIX_BITS,
-    ERROR_FRAME_BITS,
-    InterruptionCounts,
-    ROUNDS_PER_STATE,
-    WORST_CASE_PREFIX_BITS,
-    busoff_bits_with_interruptions,
-    busoff_ms,
-    error_active_time,
-    error_passive_time,
-    max_attackers_before_deadline_miss,
-    two_attacker_hp_busoff_bits,
-    two_attacker_lp_busoff_bits,
-    undisturbed_busoff_bits,
-)
-from repro.analysis.coverage import (
-    CoverageReport,
-    deployments_by_budget,
-    minimal_dos_deployment,
-    plan_coverage,
-)
-from repro.analysis.busoff_theory import expected_busoff_bits_under_load
-from repro.analysis.cpu import (
-    ARDUINO_DUE,
-    CpuUtilization,
-    McuProfile,
-    NXP_S32K144,
-    PROFILES,
-    SAM_V71,
-    SPC58EC,
-    analytic_utilization,
-    max_feasible_bus_speed,
-    utilization_from_counters,
-)
-from repro.analysis.latency import (
-    LatencyReport,
-    mean_detection_positions_by_ivn_size,
-    run_latency_study,
-)
-from repro.analysis.schedulability import (
-    ResponseTime,
-    analyze,
-    deadline_misses_under_attack,
-    is_schedulable,
-    max_tolerable_fight_bits,
-    worst_case_frame_bits,
-)
-from repro.analysis.callgraph import (
-    AnalysisCache,
-    CallGraph,
-    FileSummary,
-    Project,
-    build_call_graph,
-    load_project,
-    summarize_source,
-)
-from repro.analysis.concurrency import (
-    CONCURRENCY_REPORT_SCHEMA_VERSION,
-    ConcurrencyAnalysis,
-    ThreadRoot,
-)
-from repro.analysis.effects import (
-    EFFECT_KINDS,
-    IMPURE_KINDS,
-    EffectAnalysis,
-    EffectSite,
-    is_cache_like,
-    local_effect_sites,
-)
-from repro.analysis.purity import (
-    MANIFEST_SCHEMA_VERSION,
-    PurityManifest,
-    ScenarioPurity,
-    build_purity_manifest,
-)
-from repro.analysis.modelcheck import (
-    ModelCheckStats,
-    StuffAwareReceiver,
-    check_detection_stream,
-    model_check_plan,
-    model_check_plan_file,
-    verify_plan_with_model_check,
-)
-from repro.analysis.verifier import (
-    VERIFIER_REPORT_SCHEMA_VERSION,
-    VerificationPlan,
-    VerificationReport,
-    VerifierIssue,
-    verify_coverage,
-    verify_fsm,
-    verify_plan,
-    verify_plan_file,
-    verify_prefix_table,
-    verify_registry,
-    verify_window,
-)
-
-__all__ = [
-    "ARDUINO_DUE",
-    "AnalysisCache",
-    "BEST_CASE_PREFIX_BITS",
-    "BusLoadComparison",
-    "CONCURRENCY_REPORT_SCHEMA_VERSION",
-    "CallGraph",
-    "ConcurrencyAnalysis",
-    "CoverageReport",
-    "CpuUtilization",
-    "EFFECT_KINDS",
-    "ERROR_FRAME_BITS",
-    "EffectAnalysis",
-    "EffectSite",
-    "FileSummary",
-    "IMPURE_KINDS",
-    "MANIFEST_SCHEMA_VERSION",
-    "PurityManifest",
-    "ScenarioPurity",
-    "InterruptionCounts",
-    "LatencyReport",
-    "McuProfile",
-    "ModelCheckStats",
-    "Project",
-    "StuffAwareReceiver",
-    "ThreadRoot",
-    "NXP_S32K144",
-    "PROFILES",
-    "ROUNDS_PER_STATE",
-    "SAM_V71",
-    "SPC58EC",
-    "VERIFIER_REPORT_SCHEMA_VERSION",
-    "VerificationPlan",
-    "VerificationReport",
-    "VerifierIssue",
-    "WORST_CASE_PREFIX_BITS",
-    "ResponseTime",
-    "analytic_utilization",
-    "analyze",
-    "build_call_graph",
-    "build_purity_manifest",
-    "bus_load",
-    "busoff_bits_with_interruptions",
-    "busoff_ms",
-    "check_detection_stream",
-    "compare_defenses",
-    "counterattack_spike_factor",
-    "deadline_misses_under_attack",
-    "deadline_relative_overhead",
-    "error_active_time",
-    "deployments_by_budget",
-    "error_passive_time",
-    "expected_busoff_bits_under_load",
-    "is_cache_like",
-    "is_schedulable",
-    "load_project",
-    "local_effect_sites",
-    "max_attackers_before_deadline_miss",
-    "max_feasible_bus_speed",
-    "max_tolerable_fight_bits",
-    "mean_detection_positions_by_ivn_size",
-    "minimal_dos_deployment",
-    "model_check_plan",
-    "model_check_plan_file",
-    "plan_coverage",
-    "parrot_flooding_overhead",
-    "run_latency_study",
-    "summarize_source",
-    "two_attacker_hp_busoff_bits",
-    "two_attacker_lp_busoff_bits",
-    "undisturbed_busoff_bits",
-    "utilization_from_counters",
-    "verify_coverage",
-    "verify_fsm",
-    "verify_plan",
-    "verify_plan_file",
-    "verify_plan_with_model_check",
-    "verify_prefix_table",
-    "verify_registry",
-    "verify_window",
-    "worst_case_frame_bits",
-]

@@ -1,27 +1,1 @@
 """Threat-model implementations: DoS, spoofing, masquerade, toggling."""
-
-from repro.attacks.base import AttackerNode, ContinuousSource
-from repro.attacks.busoff import BusOffAttacker
-from repro.attacks.dos import (
-    DosAttacker,
-    RandomDosAttacker,
-    TargetedDosAttacker,
-    TraditionalDosAttacker,
-)
-from repro.attacks.miscellaneous import MiscellaneousAttacker
-from repro.attacks.multi_id import ToggleAttacker
-from repro.attacks.spoofing import MasqueradeAttacker, SpoofingAttacker
-
-__all__ = [
-    "AttackerNode",
-    "BusOffAttacker",
-    "ContinuousSource",
-    "DosAttacker",
-    "MasqueradeAttacker",
-    "MiscellaneousAttacker",
-    "RandomDosAttacker",
-    "SpoofingAttacker",
-    "TargetedDosAttacker",
-    "ToggleAttacker",
-    "TraditionalDosAttacker",
-]

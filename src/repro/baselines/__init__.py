@@ -1,33 +1,1 @@
 """Comparison baselines: Parrot, a frequency IDS, and the Table I matrix."""
-
-from repro.baselines.cansentry import (
-    CanSentryFirewall,
-    GuardedEcu,
-    SentryPolicy,
-)
-from repro.baselines.comparison import (
-    Countermeasure,
-    Overhead,
-    Rating,
-    TABLE_I,
-    lookup,
-    render_table,
-)
-from repro.baselines.ids import FrequencyIds, IdsAlert, IdsConfig
-from repro.baselines.parrot import ParrotNode
-
-__all__ = [
-    "CanSentryFirewall",
-    "Countermeasure",
-    "GuardedEcu",
-    "SentryPolicy",
-    "FrequencyIds",
-    "IdsAlert",
-    "IdsConfig",
-    "Overhead",
-    "ParrotNode",
-    "Rating",
-    "TABLE_I",
-    "lookup",
-    "render_table",
-]

@@ -1,62 +1,1 @@
 """CAN 2.0A data-link substrate: frames, CRC-15, bit stuffing, error types."""
-
-from repro.can.bitstream import (
-    ARBITRATION_FIELDS,
-    Field,
-    STUFFED_FIELDS,
-    WireBit,
-    destuff,
-    frame_wire_length,
-    max_stuff_bits,
-    serialize_frame,
-    stuff,
-    stuff_bit_count,
-    unstuffed_frame_bits,
-)
-from repro.can.constants import (
-    DOMINANT,
-    MAX_DLC,
-    MAX_STD_ID,
-    NUM_STD_IDS,
-    RECESSIVE,
-    bits_to_ms,
-    bits_to_seconds,
-    nominal_bit_time,
-)
-from repro.can.crc import crc15, crc15_bits, crc15_update
-from repro.can.errors import CanError, CanErrorType
-from repro.can.frame import EXTENDED_ID_BITS, MAX_EXT_ID, CanFrame, TimestampedFrame
-from repro.can.intervals import IdIntervalSet, as_interval_set
-
-__all__ = [
-    "ARBITRATION_FIELDS",
-    "CanError",
-    "CanErrorType",
-    "CanFrame",
-    "DOMINANT",
-    "EXTENDED_ID_BITS",
-    "Field",
-    "IdIntervalSet",
-    "MAX_DLC",
-    "MAX_EXT_ID",
-    "MAX_STD_ID",
-    "NUM_STD_IDS",
-    "RECESSIVE",
-    "STUFFED_FIELDS",
-    "TimestampedFrame",
-    "WireBit",
-    "as_interval_set",
-    "bits_to_ms",
-    "bits_to_seconds",
-    "crc15",
-    "crc15_bits",
-    "crc15_update",
-    "destuff",
-    "frame_wire_length",
-    "max_stuff_bits",
-    "nominal_bit_time",
-    "serialize_frame",
-    "stuff",
-    "stuff_bit_count",
-    "unstuffed_frame_bits",
-]

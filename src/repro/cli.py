@@ -18,13 +18,6 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.busoff_theory import busoff_ms, undisturbed_busoff_bits
-from repro.analysis.cpu import PROFILES, analytic_utilization
-from repro.analysis.latency import run_latency_study
-from repro.baselines.comparison import render_table
-from repro.core.config import IvnConfig
-from repro.core.fsm import DetectionFsm
-
 
 def _parse_id(text: str) -> int:
     return int(text, 0)
@@ -67,6 +60,8 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Any]:
 # ----------------------------------------------------------------- commands
 
 def cmd_table1(_args: argparse.Namespace) -> int:
+    from repro.baselines.comparison import render_table
+
     print(render_table())
     return 0
 
@@ -92,8 +87,10 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_table3(_args: argparse.Namespace) -> int:
     from repro.analysis.busoff_theory import (
         BEST_CASE_PREFIX_BITS,
+        busoff_ms,
         error_active_time,
         error_passive_time,
+        undisturbed_busoff_bits,
     )
 
     print("Table III — theoretical bus-off times (bits)")
@@ -108,6 +105,8 @@ def cmd_table3(_args: argparse.Namespace) -> int:
 
 
 def cmd_latency(args: argparse.Namespace) -> int:
+    from repro.analysis.latency import run_latency_study
+
     report = run_latency_study(num_fsms=args.fsms, seed=args.seed)
     print(f"random FSMs .......... {report.fsms}")
     print(f"malicious samples .... {report.malicious_samples}")
@@ -121,6 +120,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
 
 
 def cmd_multi(args: argparse.Namespace) -> int:
+    from repro.analysis.busoff_theory import busoff_ms
     from repro.experiments.config import RunConfig
     from repro.experiments.scenarios import (
         multi_attacker_experiment,
@@ -139,6 +139,8 @@ def cmd_multi(args: argparse.Namespace) -> int:
 
 
 def cmd_cpu(args: argparse.Namespace) -> int:
+    from repro.analysis.cpu import PROFILES, analytic_utilization
+
     print(f"{'profile':<38} {'speed':>10} {'idle':>7} {'active':>7} "
           f"{'combined':>9}")
     for name, profile in PROFILES.items():
@@ -171,6 +173,9 @@ def cmd_parksense(args: argparse.Namespace) -> int:
 
 
 def cmd_fsm(args: argparse.Namespace) -> int:
+    from repro.core.config import IvnConfig
+    from repro.core.fsm import DetectionFsm
+
     ivn = IvnConfig(ecu_ids=tuple(args.ecus))
     own = args.own if args.own is not None else ivn.highest_id
     detection = ivn.detection_range(own)
@@ -248,6 +253,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_codegen(args: argparse.Namespace) -> int:
     from repro.core.codegen import generate_c
+    from repro.core.config import IvnConfig
+    from repro.core.fsm import DetectionFsm
 
     ivn = IvnConfig(ecu_ids=tuple(args.ecus))
     own = args.own if args.own is not None else ivn.highest_id
@@ -286,6 +293,7 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 
 def cmd_coverage(args: argparse.Namespace) -> int:
     from repro.analysis.coverage import plan_coverage
+    from repro.core.config import IvnConfig
 
     ivn = IvnConfig(ecu_ids=tuple(args.ecus))
     equipped = args.equip if args.equip else [ivn.highest_id]
@@ -584,7 +592,8 @@ def _render_service_status(socket_path: str, status: Dict[str, Any]) -> str:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.service import CampaignService, ServiceServer
+    from repro.experiments.service.server import ServiceServer
+    from repro.experiments.service.service import CampaignService
     from repro.experiments.store import save_report
 
     result_cache = None

@@ -1,65 +1,1 @@
 """MichiCAN core: configuration, detection FSM, firmware, defense node."""
-
-from repro.core.config import (
-    AttackKind,
-    EcuConfig,
-    IvnConfig,
-    Scenario,
-    detection_range,
-)
-from repro.core.defense import MichiCanNode
-from repro.core.detection import (
-    ATTACK_DURATION_BITS,
-    ATTACK_TRIGGER_POSITION,
-    Detection,
-    FirmwareCounters,
-    FirmwarePhase,
-    MichiCanFirmware,
-    PROCESSING_END_POSITION,
-)
-from repro.core.fsm import (
-    DetectionFsm,
-    EXTENDED_ID_BITS,
-    FsmRunner,
-    FsmStats,
-    Verdict,
-    fsm_for_detection_ids,
-)
-from repro.core.codegen import classify_with_table, generate_c
-from repro.core.pinmux import MuxOperation, PinMux
-from repro.core.synchronization import (
-    SoftwareSynchronizer,
-    SyncConfig,
-    fudge_factor,
-    max_tolerable_drift_ppm,
-)
-
-__all__ = [
-    "ATTACK_DURATION_BITS",
-    "ATTACK_TRIGGER_POSITION",
-    "AttackKind",
-    "Detection",
-    "DetectionFsm",
-    "EXTENDED_ID_BITS",
-    "EcuConfig",
-    "FirmwareCounters",
-    "FirmwarePhase",
-    "FsmRunner",
-    "FsmStats",
-    "IvnConfig",
-    "MichiCanFirmware",
-    "MichiCanNode",
-    "MuxOperation",
-    "PROCESSING_END_POSITION",
-    "PinMux",
-    "Scenario",
-    "SoftwareSynchronizer",
-    "SyncConfig",
-    "Verdict",
-    "classify_with_table",
-    "detection_range",
-    "generate_c",
-    "fsm_for_detection_ids",
-    "fudge_factor",
-    "max_tolerable_drift_ppm",
-]

@@ -1,38 +1,1 @@
 """OpenDBC-like communication-matrix substrate."""
-
-from repro.dbc.codec import (
-    decode_message,
-    decode_raw,
-    encode_message,
-    encode_raw,
-    physical_to_raw,
-    raw_to_physical,
-)
-from repro.dbc.e2e import (
-    E2eMonitor,
-    E2eProfile,
-    E2eStatus,
-    crc8,
-    protected_payload_fn,
-)
-from repro.dbc.parser import parse_dbc, write_dbc
-from repro.dbc.types import CommunicationMatrix, Message, Signal
-
-__all__ = [
-    "CommunicationMatrix",
-    "Message",
-    "Signal",
-    "E2eMonitor",
-    "E2eProfile",
-    "E2eStatus",
-    "crc8",
-    "decode_message",
-    "decode_raw",
-    "encode_message",
-    "encode_raw",
-    "parse_dbc",
-    "physical_to_raw",
-    "protected_payload_fn",
-    "raw_to_physical",
-    "write_dbc",
-]

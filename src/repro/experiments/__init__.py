@@ -1,127 +1,1 @@
 """Reusable experiment drivers for the paper's evaluation section."""
-
-from repro.experiments.config import (
-    DEFAULT_DURATION_BITS,
-    ENGINES,
-    RunConfig,
-)
-from repro.experiments.runner import (
-    ExperimentResult,
-    make_simulator,
-    run_and_measure,
-)
-from repro.experiments.report import generate_report
-from repro.experiments.campaign import (
-    Campaign,
-    CampaignReport,
-    RunRecord,
-    ScenarioSpec,
-    execute_spec,
-    register_scenario,
-    scenario_names,
-)
-from repro.experiments.resultcache import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-)
-from repro.experiments.store import (
-    ResultStore,
-    load_report,
-    merge_reports,
-    save_report,
-)
-from repro.experiments.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
-    CampaignProgress,
-    TelemetryWriter,
-    campaign_progress,
-    load_progress,
-    read_channel,
-    render_progress,
-)
-from repro.experiments.sweeps import (
-    FightSample,
-    dos_fight_setup,
-    restbus_fight_setup,
-    single_frame_fight_setup,
-    sweep_attack_ids,
-    sweep_attacker_dlc,
-    sweep_restbus_load,
-)
-from repro.experiments.scenarios import (
-    DEFENDER_ID,
-    EXPERIMENTS,
-    ExperimentSetup,
-    ParkSenseOutcome,
-    ParrotSetup,
-    detection_ids_for,
-    experiment_1,
-    experiment_2,
-    experiment_3,
-    experiment_4,
-    experiment_5,
-    experiment_6,
-    michican_defense_setup,
-    multi_attacker_experiment,
-    parksense_experiment,
-    parrot_defense_setup,
-    restbus_baseline,
-    run_table2,
-    total_fight_bits,
-)
-
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "Campaign",
-    "CampaignProgress",
-    "CampaignReport",
-    "DEFAULT_DURATION_BITS",
-    "DEFENDER_ID",
-    "ENGINES",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "ExperimentSetup",
-    "FightSample",
-    "ResultCache",
-    "ResultStore",
-    "RunConfig",
-    "RunRecord",
-    "ScenarioSpec",
-    "TELEMETRY_SCHEMA_VERSION",
-    "TelemetryWriter",
-    "campaign_progress",
-    "dos_fight_setup",
-    "execute_spec",
-    "load_progress",
-    "load_report",
-    "merge_reports",
-    "read_channel",
-    "render_progress",
-    "register_scenario",
-    "restbus_fight_setup",
-    "save_report",
-    "scenario_names",
-    "single_frame_fight_setup",
-    "ParkSenseOutcome",
-    "ParrotSetup",
-    "detection_ids_for",
-    "experiment_1",
-    "experiment_2",
-    "experiment_3",
-    "experiment_4",
-    "experiment_5",
-    "experiment_6",
-    "make_simulator",
-    "michican_defense_setup",
-    "multi_attacker_experiment",
-    "parksense_experiment",
-    "parrot_defense_setup",
-    "restbus_baseline",
-    "run_and_measure",
-    "run_table2",
-    "sweep_attack_ids",
-    "sweep_attacker_dlc",
-    "sweep_restbus_load",
-    "generate_report",
-    "total_fight_bits",
-]

@@ -39,7 +39,6 @@ import os
 import random
 import time as _time
 from dataclasses import dataclass, field
-from multiprocessing import current_process, get_context
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -218,8 +217,9 @@ class ScenarioSpec:
 
 def _check_params(name: str, factory: ScenarioFactory,
                   params: Mapping[str, Any]) -> None:
-    """Refuse a spec that leaves a required factory parameter unset,
-    naming it, so the spec fails when it is made rather than with a
+    """Refuse a spec that leaves a required factory parameter unset or
+    passes one the factory does not take (unless it takes ``**kwargs``),
+    naming them, so the spec fails when it is made rather than with a
     ``TypeError`` deep inside ``build()``."""
     try:
         accepted = inspect.signature(factory).parameters
@@ -234,6 +234,15 @@ def _check_params(name: str, factory: ScenarioFactory,
         raise ConfigurationError(
             f"scenario {name!r}: missing required parameter(s) "
             f"{', '.join(missing)} (accepted: {', '.join(accepted)})")
+    if any(info.kind is inspect.Parameter.VAR_KEYWORD
+           for info in accepted.values()):
+        return
+    unknown = [param for param in params
+               if param not in accepted or accepted[param].kind not in named]
+    if unknown:
+        raise ConfigurationError(
+            f"scenario {name!r}: unknown parameter(s) "
+            f"{', '.join(unknown)} (accepted: {', '.join(accepted)})")
 
 
 def spec_key(spec: ScenarioSpec) -> str:
@@ -546,6 +555,8 @@ def execute_spec(spec: ScenarioSpec,
     aborting exception (injected faults included) flushes a final dump
     before propagating.
     """
+    from multiprocessing import current_process
+
     setup = spec.build()
     probe = recorder = flight = None
     sim = getattr(setup, "sim", None)
@@ -908,6 +919,8 @@ class Campaign:
         checkpoint: Optional[_Checkpoint],
         telemetry: Optional[Any] = None,
     ) -> None:
+        from multiprocessing import current_process
+
         worker = current_process().name
         for index in pending:
             spec = self.specs[index]
@@ -967,6 +980,8 @@ class Campaign:
         pipe, and the parent polls for results, deaths and deadline
         overruns, requeuing failed specs with exponential backoff.
         """
+        from multiprocessing import get_context
+
         ctx = get_context()
         workers = min(self.n_workers, len(pending))
         #: (spec index, attempt number, earliest start monotonic time)

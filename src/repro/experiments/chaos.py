@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.attacks.dos import DosAttacker
 from repro.bus.simulator import CanBusSimulator
-from repro.faults.apply import apply_fault_plan
 from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow
 from repro.node.controller import CanNode
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
@@ -63,6 +62,7 @@ def _chaos_bus(
 ) -> "tuple[CanBusSimulator, Any]":
     from repro.core.defense import MichiCanNode
     from repro.experiments.scenarios import DEFENDER_ID, detection_ids_for
+    from repro.faults.apply import apply_fault_plan
 
     sim = CanBusSimulator(bus_speed=bus_speed)
     defender = sim.add_node(MichiCanNode(

@@ -19,44 +19,3 @@ Layers, bottom up:
 
 See ``docs/campaign-service.md`` for the operational story.
 """
-
-from repro.experiments.service.journal import (
-    JOURNAL_SCHEMA_VERSION,
-    JournalSchemaError,
-    JournalState,
-    WorkJournal,
-    spec_digest,
-)
-from repro.experiments.service.queue import (
-    BoundedWorkQueue,
-    QueueFullError,
-    WorkItem,
-)
-from repro.experiments.service.server import ServiceServer, request
-from repro.experiments.service.service import (
-    CampaignService,
-    ServiceDrainingError,
-)
-from repro.experiments.service.supervisor import (
-    WorkerEvent,
-    WorkerPool,
-    WorkerSlot,
-)
-
-__all__ = [
-    "JOURNAL_SCHEMA_VERSION",
-    "JournalSchemaError",
-    "JournalState",
-    "WorkJournal",
-    "spec_digest",
-    "BoundedWorkQueue",
-    "QueueFullError",
-    "WorkItem",
-    "ServiceServer",
-    "request",
-    "CampaignService",
-    "ServiceDrainingError",
-    "WorkerEvent",
-    "WorkerPool",
-    "WorkerSlot",
-]

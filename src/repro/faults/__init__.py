@@ -1,96 +1,1 @@
 """Declarative fault injection: plans, injectors, and chaos sweeps."""
-
-from repro.faults.apply import AppliedFaultPlan, apply_fault_plan
-from repro.faults.defense import (
-    CorruptFsmFault,
-    DefenseFault,
-    DelayedWindowFault,
-    DetectionRaisesFault,
-    TruncatedWindowFault,
-    compile_defense_fault,
-)
-from repro.faults.harness import (
-    CrashFaultNode,
-    HangFaultNode,
-    HarnessFaultNode,
-    compile_harness_fault,
-)
-from repro.faults.node import (
-    BabblingFault,
-    ClockDriftFault,
-    MissedSampleFault,
-    NodeFault,
-    NodeFaultInjector,
-    ResetFault,
-    TxStuckFault,
-    compile_node_fault,
-)
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FAULT_PLAN_SCHEMA_VERSION,
-    FaultPlan,
-    FaultSpec,
-    FaultWindow,
-    burst_fault,
-    example_fault_spec,
-    flip_fault,
-    fault_kinds,
-    layer_of,
-    load_fault_plan,
-)
-from repro.faults.store import (
-    StoreWriteFault,
-    compile_store_fault,
-    store_faults,
-)
-from repro.faults.wire import (
-    CompiledWireFault,
-    FaultInjectingWire,
-    FlipFault,
-    ForcedLevelFault,
-    GlitchFault,
-    compile_wire_fault,
-)
-
-__all__ = [
-    "FAULT_KINDS",
-    "FAULT_PLAN_SCHEMA_VERSION",
-    "AppliedFaultPlan",
-    "BabblingFault",
-    "ClockDriftFault",
-    "CompiledWireFault",
-    "CorruptFsmFault",
-    "CrashFaultNode",
-    "DefenseFault",
-    "DelayedWindowFault",
-    "DetectionRaisesFault",
-    "FaultInjectingWire",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultWindow",
-    "FlipFault",
-    "ForcedLevelFault",
-    "GlitchFault",
-    "HangFaultNode",
-    "HarnessFaultNode",
-    "MissedSampleFault",
-    "NodeFault",
-    "NodeFaultInjector",
-    "ResetFault",
-    "StoreWriteFault",
-    "TruncatedWindowFault",
-    "TxStuckFault",
-    "apply_fault_plan",
-    "burst_fault",
-    "compile_defense_fault",
-    "compile_harness_fault",
-    "compile_node_fault",
-    "compile_store_fault",
-    "compile_wire_fault",
-    "example_fault_spec",
-    "fault_kinds",
-    "flip_fault",
-    "layer_of",
-    "load_fault_plan",
-    "store_faults",
-]

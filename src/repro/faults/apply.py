@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bus.simulator import CanBusSimulator
+from repro.errors import ConfigurationError
 from repro.faults.defense import compile_defense_fault
 from repro.faults.harness import HarnessFaultNode, compile_harness_fault
 from repro.faults.node import NodeFault, NodeFaultInjector, compile_node_fault
@@ -43,8 +44,14 @@ def apply_fault_plan(
     """Install every fault in ``plan`` on ``sim``; returns the injectors.
 
     Must run after the targeted nodes are added and before the run starts
-    (the simulator's hot loop binds node methods at run entry).
+    (the simulator's hot loop binds node methods at run entry).  A fault
+    wire installed mid-run would restart its clock and history at 0, so
+    a simulator that has already advanced is refused.
     """
+    if sim.time > 0:
+        raise ConfigurationError(
+            f"apply_fault_plan needs a simulator that has not run yet; "
+            f"sim.time is {sim.time}")
     plan.validate()
     applied = AppliedFaultPlan(plan)
     wire_specs: List[FaultSpec] = []

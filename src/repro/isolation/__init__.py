@@ -1,21 +1,1 @@
 """ECU-internal isolation: hypervisor / TrustZone / MPU boundaries (Sec. III)."""
-
-from repro.isolation.model import (
-    CanService,
-    Domain,
-    EcuSoftwareStack,
-    IsolationViolation,
-    PropertyMapping,
-    TrustLevel,
-    VhalBridge,
-)
-
-__all__ = [
-    "CanService",
-    "Domain",
-    "EcuSoftwareStack",
-    "IsolationViolation",
-    "PropertyMapping",
-    "TrustLevel",
-    "VhalBridge",
-]

@@ -1,30 +1,1 @@
 """CAN node substrate: controller, fault confinement, RX parser, scheduling."""
-
-from repro.node.controller import CanNode, ControllerState
-from repro.node.faults import ErrorState, FaultConfinement, StateTransition
-from repro.node.filters import AcceptanceFilter, FilterBank
-from repro.node.rxparser import RxEvent, RxEventKind, RxParser, RxPhase
-from repro.node.scheduler import (
-    PendingTransmission,
-    PeriodicMessage,
-    PeriodicScheduler,
-    TransmitQueue,
-)
-
-__all__ = [
-    "AcceptanceFilter",
-    "CanNode",
-    "FilterBank",
-    "ControllerState",
-    "ErrorState",
-    "FaultConfinement",
-    "PendingTransmission",
-    "PeriodicMessage",
-    "PeriodicScheduler",
-    "RxEvent",
-    "RxEventKind",
-    "RxParser",
-    "RxPhase",
-    "StateTransition",
-    "TransmitQueue",
-]

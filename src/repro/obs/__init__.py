@@ -20,72 +20,3 @@ rescans of ``sim.events``:
 * :mod:`repro.obs.flight` — a crash flight recorder keeping a bounded
   ring of recent events and node state for post-mortem dumps.
 """
-
-from repro.obs.export import (
-    registry_to_jsonl,
-    registry_to_prometheus,
-    report_to_prometheus,
-    summary_to_prometheus,
-)
-from repro.obs.flight import (
-    FLIGHT_KIND,
-    FLIGHT_SCHEMA_VERSION,
-    FlightRecorder,
-    load_dump,
-    render_dump,
-    write_dump,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.probe import BusProbe, MetricsSummary
-from repro.obs.profiler import PhaseProfile, profile_run
-from repro.obs.snapshot import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SnapshotRecorder,
-    read_snapshots,
-    write_snapshots,
-)
-from repro.obs.tracing import (
-    TRACE_KIND,
-    TRACE_SCHEMA_VERSION,
-    Span,
-    TraceCollector,
-    chrome_trace,
-    read_trace,
-    render_spans,
-    write_chrome_trace,
-    write_trace,
-)
-
-__all__ = [
-    "BusProbe",
-    "Counter",
-    "FLIGHT_KIND",
-    "FLIGHT_SCHEMA_VERSION",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsSummary",
-    "PhaseProfile",
-    "SNAPSHOT_SCHEMA_VERSION",
-    "SnapshotRecorder",
-    "Span",
-    "TRACE_KIND",
-    "TRACE_SCHEMA_VERSION",
-    "TraceCollector",
-    "chrome_trace",
-    "load_dump",
-    "profile_run",
-    "read_snapshots",
-    "read_trace",
-    "registry_to_jsonl",
-    "registry_to_prometheus",
-    "render_dump",
-    "render_spans",
-    "report_to_prometheus",
-    "summary_to_prometheus",
-    "write_chrome_trace",
-    "write_dump",
-    "write_snapshots",
-    "write_trace",
-]

@@ -1,31 +1,1 @@
 """Trace analysis: logic-analyzer substitute and frame-level logs."""
-
-from repro.trace.decoder import (
-    DecodedEntry,
-    DecodedKind,
-    WireDecoder,
-    decode_wire,
-    decoded_frames,
-)
-from repro.trace.framelog import (
-    BusOffEpisode,
-    FINAL_PASSIVE_FRAME_BITS,
-    FrameLog,
-    TimelineEntry,
-)
-from repro.trace.recorder import Edge, LogicTrace, Segment
-
-__all__ = [
-    "BusOffEpisode",
-    "DecodedEntry",
-    "DecodedKind",
-    "WireDecoder",
-    "decode_wire",
-    "decoded_frames",
-    "Edge",
-    "FINAL_PASSIVE_FRAME_BITS",
-    "FrameLog",
-    "LogicTrace",
-    "Segment",
-    "TimelineEntry",
-]

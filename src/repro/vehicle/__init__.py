@@ -1,27 +1,1 @@
 """Vehicle-level feature models for the on-vehicle experiment (Sec. V-F)."""
-
-from repro.vehicle.features import (
-    FeatureState,
-    FeatureTransition,
-    MessageSupervision,
-    VehicleFeature,
-)
-from repro.vehicle.parksense import DASHBOARD_MESSAGE, ParkSense, TIMEOUT_CYCLES
-from repro.vehicle.signals import (
-    SignalMonitor,
-    SignalViolation,
-    SignalWatch,
-)
-
-__all__ = [
-    "DASHBOARD_MESSAGE",
-    "FeatureState",
-    "FeatureTransition",
-    "MessageSupervision",
-    "ParkSense",
-    "SignalMonitor",
-    "SignalViolation",
-    "SignalWatch",
-    "TIMEOUT_CYCLES",
-    "VehicleFeature",
-]

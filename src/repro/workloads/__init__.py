@@ -1,59 +1,1 @@
 """Traffic workloads: synthetic vehicles, restbus replay, random populations."""
-
-from repro.workloads.generator import (
-    RandomIvnSpec,
-    ivn_population,
-    random_attack_id,
-    random_ivn,
-    sample_benign_ids,
-    sample_malicious_ids,
-)
-from repro.workloads.matrix import (
-    nodes_for_matrix,
-    scheduler_for_messages,
-    theoretical_bus_load,
-)
-from repro.workloads.restbus import RestbusNode
-from repro.workloads.trace_io import (
-    LogRecord,
-    LogReplayNode,
-    export_simulation,
-    parse_candump,
-    write_candump,
-)
-from repro.workloads.vehicles import (
-    PARKSENSE_ATTACK_ID,
-    PARKSENSE_IDS,
-    PERIOD_CHOICES_MS,
-    VEHICLES,
-    all_vehicle_buses,
-    pacifica_matrix,
-    synthesize_bus,
-    vehicle_buses,
-)
-
-__all__ = [
-    "PARKSENSE_ATTACK_ID",
-    "PARKSENSE_IDS",
-    "PERIOD_CHOICES_MS",
-    "RandomIvnSpec",
-    "LogRecord",
-    "LogReplayNode",
-    "RestbusNode",
-    "VEHICLES",
-    "all_vehicle_buses",
-    "ivn_population",
-    "nodes_for_matrix",
-    "pacifica_matrix",
-    "random_attack_id",
-    "random_ivn",
-    "sample_benign_ids",
-    "sample_malicious_ids",
-    "scheduler_for_messages",
-    "synthesize_bus",
-    "theoretical_bus_load",
-    "vehicle_buses",
-    "export_simulation",
-    "parse_candump",
-    "write_candump",
-]

@@ -151,7 +151,7 @@ class TestEngineEligibility:
         assert engine.try_advance(sim.time + MIN_SPAN_BITS - 1) == 0
 
     def test_declines_custom_wire(self):
-        from repro.faults import FaultInjectingWire
+        from repro.faults.wire import FaultInjectingWire
 
         sim = periodic_sim()
         sim.wire = FaultInjectingWire([])
@@ -258,7 +258,7 @@ class TestRoundMemo:
         assert sim.ff_stats.round_misses["node_class"] > 0
 
     def test_custom_wire_declines(self):
-        from repro.faults import FaultInjectingWire
+        from repro.faults.wire import FaultInjectingWire
 
         sim = fight_sim()
         sim.wire = FaultInjectingWire([])

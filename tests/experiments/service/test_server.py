@@ -91,7 +91,8 @@ def test_drain_op_flips_the_service_and_sets_shutdown(server):
 SERVE_SNIPPET = """\
 import sys
 sys.path.insert(0, {src!r})
-from repro.experiments.service import CampaignService, ServiceServer
+from repro.experiments.service.server import ServiceServer
+from repro.experiments.service.service import CampaignService
 service = CampaignService({journal!r}, n_workers=1, heartbeat_seconds=0.1)
 ServiceServer(service, {sock!r}).run()
 print("DRAINED", len(service.report().records))

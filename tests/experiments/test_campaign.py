@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import (
+    _REGISTRY,
     Campaign,
     CampaignReport,
     RunRecord,
@@ -75,6 +76,20 @@ class TestScenarioSpec:
             ScenarioSpec(name)
         with pytest.raises(ConfigurationError, match=missing):
             ScenarioSpec.from_dict({"scenario": name})
+
+    def test_unknown_param_fails_at_construction(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown parameter\(s\) n_attackers "
+                                 r"\(accepted: bus_speed\)"):
+            ScenarioSpec("exp4", {"n_attackers": 1})
+        with pytest.raises(ConfigurationError, match="n_attackers"):
+            ScenarioSpec.from_dict({"scenario": "exp4",
+                                    "params": {"n_attackers": 1}})
+
+    def test_kwargs_factory_accepts_any_param(self, monkeypatch):
+        monkeypatch.setitem(_REGISTRY, "kwargs_probe", lambda **kwargs: kwargs)
+        assert ScenarioSpec("kwargs_probe", {"anything": 1}).build() == {
+            "anything": 1}
 
     def test_required_params_given_builds(self):
         setup = ScenarioSpec("dos_fight", {"attack_id": 0x064}).build()

@@ -6,13 +6,8 @@ import pytest
 
 import repro.experiments.config as config_module
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    DEFAULT_DURATION_BITS,
-    ENGINES,
-    RunConfig,
-    make_simulator,
-    run_and_measure,
-)
+from repro.experiments.config import DEFAULT_DURATION_BITS, ENGINES, RunConfig
+from repro.experiments.runner import make_simulator, run_and_measure
 from repro.experiments.scenarios import experiment_1
 
 

@@ -49,7 +49,7 @@ class TestSpecHash:
             ScenarioSpec("exp4", duration_bits=4001, seed=3),
             ScenarioSpec("exp4", duration_bits=4000, seed=4),
             ScenarioSpec("exp4", duration_bits=4000, seed=3,
-                         params={"n_attackers": 1}),
+                         params={"bus_speed": 125_000}),
             ScenarioSpec("exp4", duration_bits=4000, seed=3, label="x"),
             ScenarioSpec("exp4", duration_bits=4000, seed=3, metrics=True),
             ScenarioSpec("exp4", duration_bits=4000, seed=3, engine="bit"),

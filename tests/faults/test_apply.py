@@ -12,7 +12,7 @@ from repro.faults.apply import apply_fault_plan
 from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow
 from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode
-from repro.obs import BusProbe
+from repro.obs.probe import BusProbe
 
 
 def multi_layer_plan():
@@ -77,6 +77,18 @@ def test_apply_rejects_an_unknown_target():
         apply_fault_plan(sim, FaultPlan((
             FaultSpec(name="s", kind="node.tx_stuck", target="ghost"),
         )))
+
+
+def test_apply_refuses_a_simulator_that_has_already_run():
+    sim = CanBusSimulator()
+    sim.add_nodes(CanNode("a"), CanNode("b"))
+    sim.advance(1000)
+    with pytest.raises(ConfigurationError, match="sim.time is 1000"):
+        apply_fault_plan(sim, FaultPlan((
+            FaultSpec(name="stuck", kind="wire.stuck_dominant",
+                      window=FaultWindow(1200, 1300)),
+        )))
+    assert not isinstance(sim.wire, FaultInjectingWire)
 
 
 def test_probe_counts_fault_activations_per_node():

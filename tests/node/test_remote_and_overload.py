@@ -7,7 +7,8 @@ from repro.bus.simulator import CanBusSimulator
 from repro.can.constants import DOMINANT
 from repro.can.frame import CanFrame
 from repro.errors import FrameError
-from repro.faults import FaultInjectingWire, burst_fault
+from repro.faults.plan import burst_fault
+from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode, ControllerState
 
 

@@ -18,7 +18,8 @@ from repro.bus.events import (
 from repro.bus.simulator import CanBusSimulator
 from repro.can.frame import CanFrame
 from repro.core.defense import MichiCanNode
-from repro.faults import FaultInjectingWire, flip_fault
+from repro.faults.plan import flip_fault
+from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode, ControllerState
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
 from repro.trace.decoder import decoded_frames
