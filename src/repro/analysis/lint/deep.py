@@ -59,7 +59,7 @@ class definition), never at the transitive caller — so a
 ``# repro: noqa[RC201]`` suppression lives next to the code that needs the
 exemption, and callers stay clean.
 
-On fault containment (RC203): :class:`~repro.bus.simulator.Simulator.run`
+On fault containment (RC203): :meth:`~repro.bus.simulator.CanBusSimulator.advance`
 deliberately lets :class:`~repro.errors.InjectedFaultError` propagate —
 that is how a crash fault reaches the harness.  The boundary that must be
 tight is the campaign's: ``Campaign.run`` (serial path) and
@@ -102,8 +102,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: callgraph imports this
 #: node methods to bare names (statically unresolvable); the fan-out to
 #: node ``output``/``observe`` implementations is only visible via ``step``.
 ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("bus/simulator.py", ("run", "run_until", "step",
-                          "advance", "advance_until")),
+    ("bus/simulator.py", ("step", "advance", "advance_until")),
     ("bus/fastforward.py", ("try_advance", "_notify_span")),
     ("core/detection.py", ("handler",)),
     # Observability listeners ride the engine's event delivery, so their

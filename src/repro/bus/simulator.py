@@ -9,7 +9,6 @@ and keeps the engine deterministic and replayable.
 
 from __future__ import annotations
 
-import warnings
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -22,17 +21,8 @@ if TYPE_CHECKING:  # the engine only needs these for typing
     from repro.bus.fastforward import FastForwardEngine, FastForwardStats
     from repro.node.controller import CanNode
 
-_DEPRECATION_WARNED: set = set()
-
 #: A node's "starts transmitting next bit" flag: a round boundary.
 _ARMED = attrgetter("_start_tx_next")
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key not in _DEPRECATION_WARNED:
-        # Dedup set for warnings only: never observable in results.
-        _DEPRECATION_WARNED.add(key)  # repro: noqa[RC301]
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 class CanBusSimulator:
@@ -159,7 +149,7 @@ class CanBusSimulator:
         return [e for e in self.events if isinstance(e, event_type)]
 
     def request_stop(self) -> None:
-        """Ask :meth:`run` to stop after the current bit (usable from
+        """Ask :meth:`advance` to stop after the current bit (usable from
         listeners/callbacks)."""
         self._stop_requested = True
 
@@ -336,36 +326,6 @@ class CanBusSimulator:
             if self._stop_requested:
                 return None
         return None
-
-    def run(self, bits: int) -> int:
-        """Deprecated alias for :meth:`advance` (one release grace period).
-
-        .. deprecated:: PR 6
-            Use ``advance(bits)``; ``run`` will be removed next release.
-        """
-        _warn_once(
-            "run",
-            "CanBusSimulator.run() is deprecated; use advance(bits) "
-            "(identical semantics, fast-forward engine included)",
-        )
-        return self.advance(bits)
-
-    def run_until(
-        self, predicate: Callable[["CanBusSimulator"], bool], limit: int
-    ) -> Optional[int]:
-        """Deprecated alias for :meth:`advance_until` with ``policy="off"``.
-
-        .. deprecated:: PR 6
-            Use ``advance_until(predicate, limit)``; ``run_until`` will be
-            removed next release.  The alias pins ``policy="off"`` to keep
-            the historical strictly-per-bit predicate timing.
-        """
-        _warn_once(
-            "run_until",
-            "CanBusSimulator.run_until() is deprecated; use "
-            "advance_until(predicate, limit)",
-        )
-        return self.advance_until(predicate, limit, policy="off")
 
     # ------------------------------------------------------------ conversions
 

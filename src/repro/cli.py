@@ -18,6 +18,11 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
+#: ``replay`` stops once the replay node has entered bus-off this many times
+#: without delivering a frame in between: a defender counterattacking a
+#: logged ID would otherwise make the node retry that frame forever.
+REPLAY_STALL_BUSOFFS = 3
+
 
 def _parse_id(text: str) -> int:
     return int(text, 0)
@@ -223,6 +228,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.bus.events import BusOffEntered, FrameTransmitted
     from repro.core.defense import MichiCanNode
     from repro.experiments.scenarios import detection_ids_for
+    from repro.node.faults import ErrorState
     from repro.workloads.trace_io import LogReplayNode, parse_candump
 
     with open(args.logfile, encoding="utf-8") as handle:
@@ -239,11 +245,32 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.node.controller import CanNode
 
     sim.add_node(CanNode("listener"))
-    limit = args.duration
-    sim.advance_until(lambda s: replay.replay_finished, limit)
+    completed = replay.queue.completed
+    transitions = replay.faults.transitions
+    seen_completed = seen_transitions = stalled_busoffs = 0
+
+    def finished_or_stalled(_: CanBusSimulator) -> bool:
+        nonlocal seen_completed, seen_transitions, stalled_busoffs
+        if replay.replay_finished:
+            return True
+        if len(completed) != seen_completed:
+            seen_completed = len(completed)
+            stalled_busoffs = 0
+        if len(transitions) != seen_transitions:
+            stalled_busoffs += sum(
+                1 for t in transitions[seen_transitions:]
+                if t.new_state is ErrorState.BUS_OFF)
+            seen_transitions = len(transitions)
+        return stalled_busoffs >= REPLAY_STALL_BUSOFFS
+
+    sim.advance_until(finished_or_stalled, args.duration)
     delivered = len(sim.events_of(FrameTransmitted))
     print(f"replayed {delivered}/{len(records)} frames in "
           f"{sim.time} bit times ({sim.milliseconds():.1f} ms)")
+    head = replay.queue.peek()
+    if stalled_busoffs >= REPLAY_STALL_BUSOFFS and head is not None:
+        print(f"replay stalled: frame 0x{head.frame.can_id:03X} not delivered "
+              f"after {stalled_busoffs} bus-offs")
     if defender is not None:
         print(f"MichiCAN detections: {len(defender.detections)}, "
               f"counterattacks: {defender.counterattacks}, "

@@ -13,11 +13,11 @@ ships between worker processes and persists to disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.bus.simulator import CanBusSimulator
 from repro.core.defense import MichiCanNode
-from repro.experiments.config import _UNSET, RunConfig
+from repro.experiments.config import RunConfig
 from repro.node.controller import CanNode
 from repro.obs.probe import BusProbe, MetricsSummary
 from repro.trace.framelog import BusOffEpisode, FrameLog
@@ -131,12 +131,8 @@ class ExperimentResult:
 def run_and_measure(
     sim: CanBusSimulator,
     attackers: Sequence[CanNode],
-    duration_bits: int = _UNSET,
-    name: str = _UNSET,
     defenders: Optional[Sequence[MichiCanNode]] = None,
     *,
-    log: Optional[FrameLog] = _UNSET,
-    metrics: Union[bool, BusProbe] = _UNSET,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Run ``sim`` for the configured window and collect Table II statistics.
@@ -152,17 +148,8 @@ def run_and_measure(
             window length, result name, metrics switch, optional pre-built
             :class:`FrameLog` and engine selection ("fast" uses the
             fast-forward path, "bit" forces per-bit stepping).
-        duration_bits, name, log, metrics: Deprecated pre-RunConfig
-            keywords; still honored (with a once-per-process warning) for
-            one release, but mutually exclusive with ``config``.
     """
-    base = config if config is not None else RunConfig()
-    cfg = base.merged_with_legacy(
-        "run_and_measure",
-        {"duration_bits": duration_bits, "name": name,
-         "log": log, "metrics": metrics},
-        config_given=config is not None,
-    )
+    cfg = config if config is not None else RunConfig()
     probe: Optional[BusProbe] = None
     own_probe = False
     if isinstance(cfg.metrics, BusProbe):
@@ -205,8 +192,6 @@ def run_and_measure(
 
 
 def make_simulator(
-    bus_speed: int = _UNSET,
-    record: bool = _UNSET,
     nodes: Sequence[CanNode] = (),
     *,
     config: Optional[RunConfig] = None,
@@ -219,15 +204,8 @@ def make_simulator(
         config: A :class:`~repro.experiments.config.RunConfig`; its
             ``bus_speed``, ``record_wire`` and ``wire_history_bits`` fields
             configure the simulator.
-        bus_speed, record: Deprecated pre-RunConfig keywords (warn-once
-            shim, mutually exclusive with ``config``).
     """
-    base = config if config is not None else RunConfig()
-    cfg = base.merged_with_legacy(
-        "make_simulator",
-        {"bus_speed": bus_speed, "record_wire": record},
-        config_given=config is not None,
-    )
+    cfg = config if config is not None else RunConfig()
     sim = CanBusSimulator(
         bus_speed=cfg.bus_speed,
         record_wire=cfg.record_wire,

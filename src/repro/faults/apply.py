@@ -74,8 +74,8 @@ def apply_fault_plan(
     if wire_specs:
         old = sim.wire
         if isinstance(old, FaultInjectingWire):
-            # A scenario already installed a fault wire (e.g. the NoisyWire
-            # shim): extend it rather than discarding its injectors.
+            # A scenario already installed a fault wire: extend it rather
+            # than discarding its injectors.
             old.injectors.extend(
                 compile_wire_fault(spec) for spec in wire_specs)
             if old._emit is None:

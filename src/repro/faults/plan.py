@@ -213,7 +213,7 @@ def flip_fault(
     dominant_flips_only: bool = False,
     name: str = "noise",
 ) -> FaultSpec:
-    """A run-long ``wire.flip`` spec (the :class:`NoisyWire` replacement).
+    """A run-long ``wire.flip`` spec: each bit flips with ``flip_probability``.
 
     Pass the result to :class:`~repro.faults.wire.FaultInjectingWire` or a
     :class:`FaultPlan`; injected flip times are on the compiled injector's
@@ -229,9 +229,11 @@ def flip_fault(
 def burst_fault(
     start_bit: int, length_bits: int, level: int, name: Optional[str] = None
 ) -> FaultSpec:
-    """A windowed ``wire.burst`` spec (the :class:`BurstNoiseWire`
-    replacement): the bus is forced to ``level`` for ``length_bits`` bits
-    starting at ``start_bit``."""
+    """A windowed ``wire.burst`` spec: the bus is forced to ``level`` for
+    ``length_bits`` bits starting at ``start_bit``.
+
+    When several burst specs on one wire overlap, the later spec wins.
+    """
     return FaultSpec(
         name=name if name is not None else f"burst_{start_bit}",
         kind="wire.burst",

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.bus.events import FaultActivated
-from repro.bus.noise import NoisyWire
 from repro.bus.simulator import CanBusSimulator
 from repro.can.constants import RECESSIVE
 from repro.can.frame import CanFrame
 from repro.errors import ConfigurationError
 from repro.faults.apply import apply_fault_plan
-from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow
+from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow, flip_fault
 from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode
 from repro.obs.probe import BusProbe
@@ -36,7 +35,7 @@ def test_apply_installs_injectors_on_every_layer():
     assert set(applied.node_injectors) == {"a"}
     assert len(applied.harness_nodes) == 1
     assert applied.harness_nodes[0] in sim.nodes
-    sim.run(50)
+    sim.advance(50)
     kinds = {(e.node, e.kind) for e in sim.events_of(FaultActivated)}
     assert kinds == {("wire", "wire.flip"), ("a", "node.tx_stuck")}
 
@@ -44,15 +43,14 @@ def test_apply_installs_injectors_on_every_layer():
 def test_apply_extends_an_existing_fault_wire():
     sim = CanBusSimulator()
     sim.add_nodes(CanNode("a"), CanNode("b"))
-    with pytest.warns(DeprecationWarning):
-        sim.wire = NoisyWire(flip_probability=0.01, seed=3)
-    shim_injector = sim.wire.injectors[0]
+    sim.wire = FaultInjectingWire([flip_fault(0.01, seed=3)])
+    first_injector = sim.wire.injectors[0]
     applied = apply_fault_plan(sim, FaultPlan((
         FaultSpec(name="g", kind="wire.glitch", window=FaultWindow(0, 10),
                   params={"period": 5, "length": 1}),
     )))
     assert applied.wire is sim.wire
-    assert sim.wire.injectors[0] is shim_injector
+    assert sim.wire.injectors[0] is first_injector
     assert len(sim.wire.injectors) == 2
 
 
@@ -97,7 +95,7 @@ def test_probe_counts_fault_activations_per_node():
     sim.add_nodes(CanNode("a"), CanNode("b"))
     apply_fault_plan(sim, multi_layer_plan())
     sim.node("b").send(CanFrame(0x123, b"\x01"))
-    sim.run(300)
+    sim.advance(300)
     summary = probe.summary()
     assert summary.nodes["a"]["fault_activations"] == 1
     assert summary.nodes["wire"]["fault_activations"] == 1

@@ -93,6 +93,13 @@ class TestCliLogTools:
         out = capsys.readouterr().out
         assert "MichiCAN detections" in out
 
+    def test_replay_stops_when_a_defended_frame_stalls(self, capsys, logfile):
+        assert main(["replay", logfile, "--time-scale", "0.05",
+                     "--defend", "0x123", "--duration", "200000"]) == 0
+        out = capsys.readouterr().out
+        assert "replayed 1/4 frames" in out
+        assert "replay stalled: frame 0x123 not delivered after 3 bus-offs" in out
+
     def test_codegen(self, capsys):
         assert main(["codegen", "--ecus", "0xA0,0x173",
                      "--own", "0x173", "--prefix", "ecu_a"]) == 0

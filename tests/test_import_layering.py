@@ -22,7 +22,6 @@ OFF_THE_RUN_PATH = ANALYZERS + [
     "repro.experiments.report",
     "repro.experiments.resultcache",
     "repro.bus.gateway",
-    "repro.bus.noise",
     "repro.obs.export",
     "repro.obs.profiler",
 ]
