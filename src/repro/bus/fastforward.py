@@ -49,12 +49,23 @@ spans emit nothing; a replayed round emits its recorded events, rebased
 onto the live clock and queue head).  Whenever any precondition fails the
 engine simply declines (:meth:`FastForwardEngine.try_advance` returns 0)
 and the caller steps per-bit; unknown node types, instance-patched hooks,
-fault injectors, custom wires and ``sim.on_event`` listeners therefore
-never see a behaviour change.
+custom wires and ``sim.on_event`` listeners therefore never see a
+behaviour change.
+
+**Barriers.**  A fault-injecting wire, a node-fault injector and a
+passive sampler each answer when the engine must next step per-bit: a
+wire or injector its next fault window edge (``next_barrier_at(now)``,
+``now`` while a fault is active or its window state is about to flip),
+a sampler its next capture (``next_sample_at()``).  Spans and replayed
+rounds end at or before the earliest barrier, so fault activation events
+and snapshots happen on per-bit steps at their exact times; in between,
+the fault wire's clock catches up in bulk and the wrappers are
+transparent.  A round recorded across a barrier is not kept.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -124,8 +135,8 @@ def _class_kind(cls: type) -> int:
     catch-up-able when it sits in WAIT_SOF.  Pseudo-nodes declaring
     ``ff_passive = True`` (e.g. the snapshot recorder) promise to always
     drive recessive and to take no protocol action; the engine skips them
-    in eligibility checks and instead clamps spans to their
-    ``next_sample_at()`` so every sample still lands on a per-bit step.
+    in eligibility checks and instead treats their ``next_sample_at()`` as
+    a barrier, so every sample still lands on a per-bit step.
     """
     kind = _CLASS_KIND.get(cls)
     if kind is None:
@@ -144,7 +155,7 @@ def _class_kind(cls: type) -> int:
 
 def _patched(obj: object, name: str) -> bool:
     """True when ``obj`` carries an instance-level ``name`` (a wrapper a
-    fault injector or probe installed over the class's method).
+    fault injector or tracer installed over the class's method).
 
     A method found on the class is a fresh bound method on every lookup;
     an instance attribute is the same stored object each time.  Not
@@ -237,24 +248,30 @@ class FramePlan:
 #: Why a round boundary was not replayed, in ``FastForwardStats`` order.
 #: Topology reasons hold for the whole bus, lookup reasons for one round:
 #:
-#: * ``custom_wire`` — not a plain recording :class:`Wire` (fault injection);
+#: * ``custom_wire`` — a non-recording wire, or a wire subclass that does
+#:   not declare its barriers (``next_barrier_at``);
 #: * ``listener`` — a ``sim.on_event`` listener may read live node state
 #:   (only listeners marked ``reads_event_only``, like the trace
-#:   collector's, are allowed);
-#: * ``node_class`` — an opaque, passive or undeclared node class, an
-#:   instance-level ``output``/``observe`` or a patched scheduler ``tick``;
+#:   collector's and the bus probe's, are allowed);
+#: * ``node_class`` — an opaque or undeclared node class, an instance-level
+#:   ``output``/``observe`` that is no barrier-declaring fault wrapper, or a
+#:   patched scheduler ``tick``;
 #: * ``rx_callbacks`` — a node has receive callbacks registered;
 #: * ``undeclared`` — a node component (parser, queue, scheduler, firmware,
 #:   ...) has no ``ROUND_MEMO`` declaration;
 #: * ``unseen`` — no recording of this signature yet (the round is recorded);
+#: * ``barrier`` — a fault is active or about to switch now, or the round
+#:   would cover a fault window edge or a sampler's capture;
 #: * ``deadline`` — the round would cross the caller's deadline;
 #: * ``scheduler_due`` — a scheduler would enqueue inside the round;
-#: * ``error_state`` — replaying the counter operations would change a
-#:   node's error state;
+#: * ``transition`` — the live error counters would not cross the
+#:   error-state thresholds where any recording of this signature did
+#:   (the round is recorded as a new variant);
 #: * ``recovery`` — a bus-off node would complete its recovery inside.
 ROUND_MISS_REASONS: Tuple[str, ...] = (
     "custom_wire", "listener", "node_class", "rx_callbacks", "undeclared",
-    "unseen", "deadline", "scheduler_due", "error_state", "recovery",
+    "unseen", "barrier", "deadline", "scheduler_due", "transition",
+    "recovery",
 )
 
 
@@ -263,9 +280,9 @@ class FastForwardStats:
 
     ``round_*`` count the round memo: replayed rounds and their bits,
     recordings stored, and per reason why a round was not replayed (see
-    :data:`ROUND_MISS_REASONS`).  Topology reasons count engine checks
-    (one per retry tick, the memo never sees a boundary on such a bus);
-    lookup reasons count round boundaries.
+    :data:`ROUND_MISS_REASONS`).  Topology reasons, and ``barrier``
+    while a fault is live, count engine checks (one per retry tick: the
+    memo sees no boundary then); lookup reasons count round boundaries.
     """
 
     __slots__ = ("body_spans", "body_bits", "idle_spans", "idle_bits",
@@ -320,19 +337,108 @@ class SpanCommit:
         return self.end - self.start
 
 
-class FastForwardEngine:
-    """Plans and commits fast-forward spans for one simulator."""
+class _Topology:
+    """What eligibility needs to know about a bus that stays fixed while it
+    runs: rebuilt at every ``advance()`` call and whenever the wire, the
+    node list or the listener list changes.
+
+    ``memo`` is the topology reason the round memo cannot act (None when
+    it can), ``spans`` whether body and idle spans may, ``nodes`` the
+    protocol nodes (samplers excluded), ``barriers`` the wire's and fault
+    wrappers' ``next_barrier_at`` and ``samplers`` the samplers'
+    ``next_sample_at``.
+    """
+
+    __slots__ = ("wire", "count", "listeners", "memo", "spans", "nodes",
+                 "barriers", "samplers")
 
     def __init__(self, sim: "CanBusSimulator") -> None:
-        self.sim = sim
+        wire = sim.wire
+        self.wire = wire
+        self.count = len(sim.nodes)
+        self.listeners = len(sim._event_listeners)
+        self.nodes: List[CanNode] = []
+        self.barriers: List[Callable[[int], Optional[int]]] = []
+        self.samplers: List[Callable[[], Optional[int]]] = []
+        reasons: List[str] = []
+        self.spans = True
+        if type(wire) is not Wire:
+            barrier = getattr(wire, "next_barrier_at", None)
+            if barrier is None:
+                self.spans = False
+                reasons.append("custom_wire")
+            else:
+                self.barriers.append(barrier)
+        if not wire.record:
+            reasons.append("custom_wire")
+        for listener in sim._event_listeners:
+            # A listener may read live node state at each event (the flight
+            # recorder samples it), which a replayed round cannot reproduce;
+            # only listeners declaring they read the event alone are safe.
+            if not getattr(listener, "reads_event_only", False):
+                reasons.append("listener")
+        for node in sim.nodes:
+            cls = type(node)
+            kind = _class_kind(cls)
+            if kind == _PASSIVE:
+                self.samplers.append(node.next_sample_at)
+                continue
+            self.nodes.append(node)
+            if (kind == _UNSAFE or not self._hooks(node)
+                    or (not node.listen_only
+                        and not _scheduler_safe(node.scheduler))):
+                self.spans = False
+                reasons.append("node_class")
+                continue
+            if not isinstance(cls.__dict__.get("ROUND_MEMO"), MemoSpec):
+                reasons.append("node_class")
+            if node._rx_callbacks:
+                reasons.append("rx_callbacks")
+        self.memo = min(reasons, key=ROUND_MISS_REASONS.index, default=None)
+
+    def _hooks(self, node: CanNode) -> bool:
+        """True when ``node`` has no instance-level ``output``/``observe``,
+        or both belong to one wrapper declaring its barriers (a node-fault
+        injector, transparent outside its fault windows)."""
+        if not _patched(node, "output") and not _patched(node, "observe"):
+            return True
+        owner = getattr(node.output, "__self__", None)
+        barrier = getattr(owner, "next_barrier_at", None)
+        if (owner is node or barrier is None
+                or getattr(node.observe, "__self__", None) is not owner):
+            return False
+        self.barriers.append(barrier)
+        return True
+
+    def current(self, sim: "CanBusSimulator") -> bool:
+        return (sim.wire is self.wire and len(sim.nodes) == self.count
+                and len(sim._event_listeners) == self.listeners)
+
+
+class FastForwardEngine:
+    """Plans and commits fast-forward spans for one simulator.
+
+    The engine holds its simulator weakly (the simulator owns it), so a
+    finished simulator is freed by reference counting alone.
+    """
+
+    def __init__(self, sim: "CanBusSimulator") -> None:
+        self._sim = weakref.ref(sim)
         self.stats = FastForwardStats()
         self._plans: Dict[int, FramePlan] = {}
         self._span_listeners: List[Callable[[SpanCommit], None]] = []
         #: Created at the first round boundary of a memo-eligible bus.
         self._rounds: Optional[RoundMemo] = None
+        self._topology: Optional[_Topology] = None
         #: True while the round memo may act at the next round boundary:
         #: the per-bit loop then hands control back at every boundary.
         self.watch_rounds = False
+
+    @property
+    def sim(self) -> "CanBusSimulator":
+        sim = self._sim()
+        assert sim is not None, "the simulator was freed"
+        return sim
 
     def on_span(self, listener: Callable[[SpanCommit], None],
                 ) -> Callable[[], None]:
@@ -378,7 +484,8 @@ class FastForwardEngine:
         round memo replays the coming round when it has seen it before,
         and otherwise records it while the caller steps it per-bit.
         ``rounds=False`` (used by ``advance_until``) keeps to the
-        decision-free body and idle spans.
+        decision-free body and idle spans.  Nothing is committed across
+        the earliest barrier (see the module docstring).
 
         Returns the number of bits advanced (0 = the caller must step
         per-bit; nothing was changed).
@@ -386,68 +493,69 @@ class FastForwardEngine:
         sim = self.sim
         if not sim.nodes:
             return 0  # stepping an empty bus must keep raising
+        topology = self._topology
+        if topology is None or not topology.current(sim):
+            topology = self._topology = _Topology(sim)
+        now = sim.time
+        barrier: Optional[int] = None
+        for source in topology.barriers:
+            at = source(now)
+            if at is not None and (barrier is None or at < barrier):
+                barrier = at
+        for sample in topology.samplers:
+            at = sample()
+            if at is not None and (barrier is None or at < barrier):
+                barrier = at
         memo = self._rounds
-        if rounds:
-            reason = _memo_topology(sim)
-            self.watch_rounds = reason is None
-            if reason is None:
-                if _armed(sim.nodes):
-                    if memo is None:
-                        # Imported at the first boundary: buses that never
-                        # reach one do not pay for loading the memo.
-                        from repro.bus.roundmemo import RoundMemo
-
-                        memo = self._rounds = RoundMemo(self)
-                    return memo.at_boundary(deadline)
-            else:
-                self.stats.round_misses[reason] += 1
-                if memo is not None:
-                    memo.discard()
-        else:
+        reason = topology.memo if rounds else None
+        if reason is None and barrier is not None and barrier <= now:
+            reason = "barrier"  # a fault is live, or a capture is due now
+        if reason is not None:
+            self.stats.round_misses[reason] += 1
+        if not rounds or reason is not None:
             self.watch_rounds = False
             if memo is not None:
                 memo.discard()
-        bits = self._span(deadline)
-        if bits and memo is not None:
-            memo.discard()  # a span inside the round: no longer one round
-        return bits
+            if barrier is not None and barrier <= now:
+                return 0
+        else:
+            self.watch_rounds = True
+            if _armed(topology.nodes):
+                if memo is None:
+                    # Imported at the first boundary: buses that never
+                    # reach one do not pay for loading the memo.
+                    from repro.bus.roundmemo import RoundMemo
+
+                    memo = self._rounds = RoundMemo(self.stats)
+                bits = memo.at_boundary(sim, topology.nodes, deadline, barrier)
+                if bits and self._span_listeners:
+                    self._notify_span(SpanCommit("round", now, now + bits))
+                return bits
+        if not topology.spans:
+            return 0
+        if barrier is not None and barrier < deadline:
+            deadline = barrier
+        return self._span(sim, topology.nodes, deadline)
 
     def end_advance(self) -> None:
-        """The caller stopped advancing: drop an unfinished recording."""
+        """The caller stopped advancing: drop an unfinished recording, and
+        re-derive the topology at the next call (hooks may change between
+        calls)."""
+        self._topology = None
         if self._rounds is not None:
             self._rounds.discard()
 
-    def _span(self, deadline: int) -> int:
+    def _span(self, sim: "CanBusSimulator", nodes: List[CanNode],
+              deadline: int) -> int:
         """Commit one body or idle span, or return 0."""
-        sim = self.sim
         if deadline - sim.time < MIN_SPAN_BITS:
             return 0
-        if type(sim.wire) is not Wire:
-            return 0  # fault-injecting or custom wires resolve per-bit
         transmitter = None
-        active: List[CanNode] = []
-        for node in sim.nodes:
-            kind = _class_kind(type(node))
-            if kind == _UNSAFE:
-                return 0
-            if kind == _PASSIVE:
-                # Spans never cross a sampler's next capture time, so the
-                # sample itself always happens on a per-bit step (exact
-                # clock and wire counters).
-                sample_at = node.next_sample_at()
-                if sample_at is not None and sample_at < deadline:
-                    if sample_at <= sim.time:
-                        return 0
-                    deadline = sample_at
-                continue
-            active.append(node)
+        michican = _michican_class()
+        for node in nodes:
             if node._start_tx_next or node._drive_dominant_once:
                 return 0
-            if _patched(node, "output") or _patched(node, "observe"):
-                return 0  # node-fault injector wrappers installed
-            if not node.listen_only and not _scheduler_safe(node.scheduler):
-                return 0
-            if kind == _MICHICAN:
+            if type(node) is michican:
                 firmware = node.firmware
                 if (firmware.phase is not FirmwarePhase.WAIT_SOF
                         or firmware.drive_level != RECESSIVE
@@ -464,14 +572,19 @@ class FastForwardEngine:
                     and state is not ControllerState.BUS_OFF):
                 return 0  # error flags, delimiters, intermission, suspend
         if transmitter is not None:
-            return self._body_span(transmitter, deadline, active)
-        return self._idle_span(deadline, active)
+            return self._body_span(sim, transmitter, deadline, nodes)
+        return self._idle_span(sim, deadline, nodes)
+
+    def _end_round(self, sim: "CanBusSimulator", nodes: List[CanNode]) -> None:
+        """A span is about to commit: the round being recorded ends here."""
+        memo = self._rounds
+        if memo is not None and memo.recording is not None:
+            memo.close_at_span(sim, nodes)
 
     # ----------------------------------------------------------- body spans
 
-    def _body_span(self, tx: CanNode, deadline: int,
+    def _body_span(self, sim: "CanBusSimulator", tx: CanNode, deadline: int,
                    nodes: List[CanNode]) -> int:
-        sim = self.sim
         start = sim.time
         index0 = tx._tx_index
         if index0 < 1:
@@ -517,6 +630,7 @@ class FastForwardEngine:
                 if (has_dominant and node.firmware._cnt_sof + leading
                         >= BUS_IDLE_RECESSIVE_BITS):
                     return 0
+        self._end_round(sim, nodes)
         # ---------------------------------------------------------- commit
         end_time = start + span
         dominant = plan.dominant_prefix[index1] - plan.dominant_prefix[index0]
@@ -554,8 +668,8 @@ class FastForwardEngine:
 
     # ----------------------------------------------------------- idle spans
 
-    def _idle_span(self, deadline: int, nodes: List[CanNode]) -> int:
-        sim = self.sim
+    def _idle_span(self, sim: "CanBusSimulator", deadline: int,
+                   nodes: List[CanNode]) -> int:
         start = sim.time
         end = deadline
         for node in nodes:
@@ -586,6 +700,7 @@ class FastForwardEngine:
         span = end - start
         if span < MIN_SPAN_BITS:
             return 0
+        self._end_round(sim, nodes)
         # ---------------------------------------------------------- commit
         sim.wire.extend_recessive(span)
         last_time = end - 1
@@ -620,27 +735,3 @@ def _armed(nodes: List[Any]) -> bool:
         if getattr(node, "_start_tx_next", False) and not node.listen_only:
             return True
     return False
-
-
-def _memo_topology(sim: "CanBusSimulator") -> Optional[str]:
-    """Why the round memo cannot act on this bus at all, or None."""
-    wire = sim.wire
-    if type(wire) is not Wire or not wire.record:
-        return "custom_wire"
-    for listener in sim._event_listeners:
-        # A listener may read live node state at each event (the flight
-        # recorder samples it), which a replayed round cannot reproduce;
-        # only listeners declaring they read the event alone are safe.
-        if not getattr(listener, "reads_event_only", False):
-            return "listener"
-    for node in sim.nodes:
-        cls = type(node)
-        if (not isinstance(cls.__dict__.get("ROUND_MEMO"), MemoSpec)
-                or _class_kind(cls) >= _UNSAFE
-                or _patched(node, "output") or _patched(node, "observe")):
-            return "node_class"
-        if not node.listen_only and not _scheduler_safe(node.scheduler):
-            return "node_class"
-        if node._rx_callbacks:
-            return "rx_callbacks"
-    return None

@@ -64,6 +64,11 @@ class CanBusSimulator:
         self.events: List[Event] = []
         self._events_by_type: Dict[type, List[Event]] = {}
         self._event_listeners: List[Callable[[Event], None]] = []
+        #: The sink every node emits into (and a fault wire, for its window
+        #: events).  It closes over the event containers, not the
+        #: simulator, so nodes hold no reference back to it.
+        self._record_event = _event_recorder(
+            self.events, self._events_by_type, self._event_listeners)
         self._stop_requested = False
         self._outputs: List[int] = []
         #: Default fast-forward policy for :meth:`advance`/:meth:`advance_until`
@@ -98,15 +103,6 @@ class CanBusSimulator:
 
     # ---------------------------------------------------------------- events
 
-    def _record_event(self, event: Event) -> None:
-        self.events.append(event)
-        bucket = self._events_by_type.get(type(event))
-        if bucket is None:
-            bucket = self._events_by_type[type(event)] = []
-        bucket.append(event)
-        for listener in self._event_listeners:
-            listener(event)
-
     def on_event(
         self, listener: Callable[[Event], None]
     ) -> Callable[[], None]:
@@ -136,7 +132,7 @@ class CanBusSimulator:
         """All recorded events of ``event_type`` (or a subclass).
 
         Exact-type queries — every call site in the repo — are O(matches)
-        via a per-type index maintained in :meth:`_record_event` instead of
+        via a per-type index maintained by the event sink instead of
         a linear rescan of the whole event list.  Base-class queries fall
         back to the scan to preserve exact stream order across subtypes.
         """
@@ -315,17 +311,22 @@ class CanBusSimulator:
                 if self._stop_requested:
                     return None
             return None
-        try_advance = self._engine().try_advance
-        while self.time < deadline:
-            # Only decision-free spans: the predicate must not be able to
-            # flip inside a committed span, which a replayed round allows.
-            if try_advance(deadline, rounds=False) == 0:
-                self.step()
-            if predicate(self):
-                return self.time
-            if self._stop_requested:
-                return None
-        return None
+        engine = self._engine()
+        try_advance = engine.try_advance
+        try:
+            while self.time < deadline:
+                # Only decision-free spans: the predicate must not be able
+                # to flip inside a committed span, which a replayed round
+                # allows.
+                if try_advance(deadline, rounds=False) == 0:
+                    self.step()
+                if predicate(self):
+                    return self.time
+                if self._stop_requested:
+                    return None
+            return None
+        finally:
+            engine.end_advance()
 
     # ------------------------------------------------------------ conversions
 
@@ -337,3 +338,24 @@ class CanBusSimulator:
     def milliseconds(self, bits: Optional[int] = None) -> float:
         """Convert ``bits`` (default: current time) to milliseconds."""
         return self.seconds(bits) * 1e3
+
+
+def _event_recorder(
+    events: List[Event],
+    by_type: Dict[type, List[Event]],
+    listeners: List[Callable[[Event], None]],
+) -> Callable[[Event], None]:
+    """The simulator's event sink: append to the stream and its per-type
+    index, then call the live listeners."""
+    append = events.append
+
+    def record_event(event: Event) -> None:
+        append(event)
+        bucket = by_type.get(type(event))
+        if bucket is None:
+            bucket = by_type[type(event)] = []
+        bucket.append(event)
+        for listener in listeners:
+            listener(event)
+
+    return record_event

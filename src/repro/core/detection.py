@@ -145,7 +145,8 @@ class MichiCanFirmware:
         accumulators={"counters": COUNTERS, "detections": TIMED},
         excluded={
             "fsm": "compiled detection table; only the corrupt_fsm fault "
-                   "edits it, and fault injectors decline the memo",
+                   "edits it, inside its window (a barrier: the memo "
+                   "steps it per-bit), and restores it at the window end",
             "extended_fsm": "compiled detection table, never mutated",
         },
         live={

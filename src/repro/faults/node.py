@@ -25,7 +25,7 @@ from repro.core.synchronization import (
     SyncConfig,
 )
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultSpec, next_window_edge
 from repro.node.controller import CanNode
 
 
@@ -216,6 +216,15 @@ class NodeFaultInjector:
         self._original_observe = node.observe
         node.output = self._output  # type: ignore[method-assign]
         node.observe = self._observe  # type: ignore[method-assign]
+
+    def next_barrier_at(self, now: int) -> Optional[int]:
+        """Fast-forward barrier: the first bit time from ``now`` on that
+        must be stepped per-bit (see
+        :meth:`~repro.faults.wire.FaultInjectingWire.next_barrier_at`).
+        Outside every window the wrappers only call the node's own
+        methods, so the engine may treat the node as unwrapped until then.
+        """
+        return next_window_edge(self.faults, now)
 
     def uninstall(self) -> None:
         """Restore the node's original methods."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -56,6 +56,21 @@ class FaultWindow:
             raise ConfigurationError(
                 f"window end_bit must be an int or null, got {end!r}")
         return cls(start_bit=start, end_bit=end)
+
+
+def next_window_edge(faults: Sequence[Any], now: int) -> Optional[int]:
+    """The earliest bit from ``now`` at which a window-gated fault (with
+    ``spec.window`` and an ``active`` flag) acts or switches: ``now`` if
+    one is active or its flag disagrees with its window, else the next
+    window start; None when every window has closed."""
+    edge: Optional[int] = None
+    for fault in faults:
+        window = fault.spec.window
+        if fault.active or window.active(now):
+            return now
+        if now < window.start_bit and (edge is None or window.start_bit < edge):
+            edge = window.start_bit
+    return edge
 
 
 #: kind -> (layer, needs_target, summary, example params).  The single

@@ -21,7 +21,7 @@ from repro.bus.events import Event, FaultActivated, FaultDeactivated
 from repro.bus.wire import Wire
 from repro.can.constants import DOMINANT, RECESSIVE
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultSpec, next_window_edge
 
 #: Where wire-level fault events are attributed (there is no node).
 WIRE_EVENT_NODE = "wire"
@@ -136,6 +136,10 @@ def compile_wire_fault(spec: FaultSpec) -> CompiledWireFault:
 class FaultInjectingWire(Wire):
     """A wire that executes wire-layer fault specs on every resolved bit.
 
+    Outside every fault window it behaves as a plain :class:`Wire`, so
+    the fast-forward engine spans and replays rounds up to the next window
+    edge (:meth:`next_barrier_at`); the wire's clock catches up in bulk.
+
     Args:
         faults: Wire-layer fault specs, applied in order (later specs see
             earlier specs' corruption).
@@ -157,6 +161,22 @@ class FaultInjectingWire(Wire):
             compile_wire_fault(spec) for spec in faults]
         self._emit = emit
         self._time = 0
+
+    def next_barrier_at(self, now: int) -> Optional[int]:
+        """Fast-forward barrier: the first bit time from ``now`` on that
+        must be stepped per-bit — ``now`` while a fault is active or its
+        window is about to open or close, else the next window start
+        (None when every window has closed)."""
+        return next_window_edge(self.injectors, now)
+
+    def extend_history(self, levels: "List[int]", dominant: int) -> None:
+        super().extend_history(levels, dominant)
+        self._time += len(levels)
+
+    def extend_recessive(self, count: int) -> None:
+        super().extend_recessive(count)
+        if count > 0:
+            self._time += count
 
     def drive(self, levels: Iterable[int]) -> int:
         level = super().drive(levels)

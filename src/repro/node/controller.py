@@ -60,7 +60,12 @@ from repro.can.constants import (
 )
 from repro.can.errors import CanError, CanErrorType
 from repro.can.frame import CanFrame
-from repro.node.faults import ErrorState, FaultConfinement, StateTransition
+from repro.node.faults import (
+    ErrorState,
+    FaultConfinement,
+    StateTransition,
+    TransitionRelay,
+)
 from repro.node.filters import FilterBank
 from repro.node.memo import NESTED, REF, STAMP, VALUE, Bounded, MemoSpec
 from repro.node.rxparser import RxEventKind, RxParser
@@ -157,6 +162,7 @@ class CanNode:
             "_intermission_count": ("state", (ControllerState.INTERMISSION,)),
             "_suspend_count": ("state", (ControllerState.SUSPEND,)),
             "_busoff_recessive_run": ("state", (ControllerState.BUS_OFF,)),
+            "_busoff_sequences": ("state", (ControllerState.BUS_OFF,)),
         },
     )
 
@@ -209,7 +215,7 @@ class CanNode:
 
         self._time = -1
 
-        self.faults.on_transition = self._on_fault_transition
+        self.faults.on_transition = TransitionRelay(self)
 
     # ------------------------------------------------------------------ wiring
 
@@ -263,7 +269,7 @@ class CanNode:
         self.state = ControllerState.IDLE
         self.parser.reset()
         self.faults = FaultConfinement()
-        self.faults.on_transition = self._on_fault_transition
+        self.faults.on_transition = TransitionRelay(self)
         self._tx_stream = []
         self._tx_index = 0
         self._tx_started_at = 0

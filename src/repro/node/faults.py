@@ -9,8 +9,9 @@ state (error-active / error-passive / bus-off) from them, exactly as ISO
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.can.constants import (
     BUS_OFF_THRESHOLD,
@@ -20,10 +21,40 @@ from repro.can.constants import (
     TEC_ERROR_INCREMENT,
     TEC_SUCCESS_DECREMENT,
 )
-from repro.node.memo import FIXED, OPS, VALUE, MemoSpec
+from repro.node.memo import OPS, VALUE, MemoSpec
 
 #: One journaled counter-hook call: (method name, time, extra arguments).
 HookCall = Tuple[str, int, Tuple[Any, ...]]
+
+#: The round memo's fold of a journaled hook call (see
+#: :mod:`repro.bus.roundmemo`): ``(name, args) -> (TEC step, REC step)``.
+#: Increments always apply in full; a decrement is exactly the step only
+#: while the counter sits in :data:`DECREMENT_EXACT` before the call (the
+#: floor at 0 and the REC clamp to 119 act outside it).  The memo checks
+#: every fold against the live hook results before keeping a recording.
+HOOK_STEPS: Dict[Tuple[str, Tuple[Any, ...]], Tuple[int, int]] = {
+    ("on_transmit_error", ()): (TEC_ERROR_INCREMENT, 0),
+    ("on_receive_error", ()): (0, REC_ERROR_INCREMENT),
+    ("on_transmit_success", ()): (-TEC_SUCCESS_DECREMENT, 0),
+    ("on_receive_success", ()): (0, -REC_SUCCESS_DECREMENT),
+    ("on_receiver_flag_escalation", ()): (0, 8),
+    ("on_flag_overrun_escalation", (True,)): (TEC_ERROR_INCREMENT, 0),
+    ("on_flag_overrun_escalation", (False,)): (0, TEC_ERROR_INCREMENT),
+}
+
+#: (TEC range, REC range) in which a decrementing hook subtracts exactly
+#: its step; None is unbounded.
+DECREMENT_EXACT: Tuple[Tuple[int, Optional[int]], Tuple[int, Optional[int]]] = (
+    (TEC_SUCCESS_DECREMENT, None),
+    (REC_SUCCESS_DECREMENT, ERROR_PASSIVE_THRESHOLD - 1),
+)
+
+#: The counter values at which the error state can change: TEC against
+#: the passive and bus-off thresholds, REC against the passive one.
+STATE_THRESHOLDS: Tuple[Tuple[int, ...], Tuple[int, ...]] = (
+    (ERROR_PASSIVE_THRESHOLD, BUS_OFF_THRESHOLD),
+    (ERROR_PASSIVE_THRESHOLD,),
+)
 
 
 class ErrorState(enum.Enum):
@@ -67,14 +98,15 @@ class FaultConfinement:
         default=None, repr=False, compare=False)
 
     #: Round-memo declaration (see :mod:`repro.node.memo`).  A round's
-    #: behaviour reads only the error *state*; the counters are replayed as
-    #: the journaled hook calls, because the REC clamp is not linear.
+    #: behaviour reads only the error *state*; the counters and the state
+    #: changes they cause are replayed from the journaled hook calls
+    #: (:data:`HOOK_STEPS`).
     ROUND_MEMO = MemoSpec(
         signature={"_state": VALUE},
-        accumulators={"tec": OPS, "rec": OPS, "transitions": FIXED},
+        accumulators={"tec": OPS, "rec": OPS, "transitions": OPS},
         excluded={
-            "on_transition": "owner wiring; fires only on a state change, "
-                             "which discards the recording",
+            "on_transition": "owner wiring (a TransitionRelay); a replayed "
+                             "state change re-emits its ErrorStateChanged",
             "journal": "the memo's own recording buffer",
         },
     )
@@ -187,3 +219,20 @@ class FaultConfinement:
         self._state = ErrorState.ERROR_ACTIVE
         if self.on_transition is not None:
             self.on_transition(transition)
+
+
+class TransitionRelay:
+    """A node's ``on_transition`` hook: forwards each state change to
+    ``owner._on_fault_transition`` through a weak reference, so a node and
+    its :class:`FaultConfinement` form no reference cycle and a finished
+    simulator is freed by reference counting alone."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner: Any) -> None:
+        self._owner = weakref.ref(owner)
+
+    def __call__(self, transition: StateTransition) -> None:
+        owner = self._owner()
+        if owner is not None:
+            owner._on_fault_transition(transition)

@@ -20,7 +20,10 @@ controller's ``_intermission_count`` only ``while state is INTERMISSION``.
 The declaration promises that the field is never read outside those
 values and is always rewritten before it can be read again; while it is
 dead it stays out of the key, so stale leftovers of an earlier frame do
-not split otherwise identical rounds.
+not split otherwise identical rounds.  A count accumulator may be
+declared live the same way (``_busoff_sequences`` restarts at every
+bus-off entry): a round that rewrote it while dead replays its end value
+instead of a delta.
 
 A class without its own ``ROUND_MEMO`` (a subclass does not inherit its
 parent's) is never memoized, and ``tests/node/test_memo_state.py`` checks
@@ -111,10 +114,13 @@ class MemoSpec:
                 if both:
                     raise ValueError(f"attributes declared twice: {sorted(both)}")
         for name in self.live:
-            if self.signature.get(name) not in (VALUE, LIST, REF, NESTED):
+            kind = self.signature.get(name, self.accumulators.get(name))
+            if kind not in (VALUE, LIST, REF, NESTED, COUNT) and not isinstance(
+                    kind, Bounded):
                 raise ValueError(
-                    f"only value, list, ref and nested signature fields can "
-                    f"be declared live-when, not {name!r}")
+                    f"only value, list, ref and nested signature fields and "
+                    f"count accumulators can be declared live-when, not "
+                    f"{name!r}")
 
     def extend(
         self,

@@ -207,6 +207,9 @@ class PeriodicScheduler:
         None means no enqueue will ever happen from the current state.
         """
         del queue  # periodic emission does not depend on queue occupancy
+        earliest = self._no_enqueue_before
+        if earliest:  # tick()'s cache of the earliest due time is current
+            return None if earliest == float("inf") else max(time, int(earliest))
         due: Optional[int] = None
         for message in self.messages:
             if message.limit is not None and message._emitted >= message.limit:

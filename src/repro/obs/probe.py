@@ -296,6 +296,12 @@ class BusProbe:
         if handler is not None:
             handler(event)
 
+    # Every handler reads the event and the probe's own counters only, never
+    # live simulator state, so the round memo may keep replaying rounds
+    # while the probe listens (``summary``/``snapshot`` read live state, but
+    # they are called between steps, not from the event stream).
+    _on_event.reads_event_only = True  # type: ignore[attr-defined]
+
     # ----------------------------------------------------------- handlers
 
     def _on_frame_started(self, event: FrameStarted) -> None:

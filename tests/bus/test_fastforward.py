@@ -12,11 +12,19 @@ from repro.bus.fastforward import (
 )
 from repro.bus.roundmemo import MAX_ROUND_ENTRIES
 from repro.bus.simulator import CanBusSimulator
+from repro.bus.wire import Wire
 from repro.can.frame import CanFrame
 from repro.core.defense import MichiCanNode
 from repro.errors import ConfigurationError, SimulationError
 from repro.node.controller import CanNode
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
+
+
+class OpaqueWire(Wire):
+    """A wire subclass that resolves its own way and declares no barriers."""
+
+    def drive(self, levels):
+        return super().drive(levels)
 
 
 def periodic_sim(period_bits=600):
@@ -121,12 +129,19 @@ class TestEngineEligibility:
         assert engine.try_advance(sim.time + MIN_SPAN_BITS - 1) == 0
 
     def test_declines_custom_wire(self):
+        sim = periodic_sim()
+        sim.wire = OpaqueWire()
+        sim.advance(5_000)
+        assert sim.ff_stats.fast_bits == 0
+
+    def test_fault_wire_outside_its_windows_fast_forwards(self):
         from repro.faults.wire import FaultInjectingWire
 
         sim = periodic_sim()
         sim.wire = FaultInjectingWire([])
         sim.advance(5_000)
-        assert sim.ff_stats.fast_bits == 0
+        assert sim.ff_stats.fast_bits > 2_500
+        assert sim.wire._time == sim.time  # the wire clock caught up
 
     def test_declines_unknown_node_classes(self):
         class Weird(CanNode):
@@ -228,13 +243,12 @@ class TestRoundMemo:
         assert sim.ff_stats.round_misses["node_class"] > 0
 
     def test_custom_wire_declines(self):
-        from repro.faults.wire import FaultInjectingWire
-
         sim = fight_sim()
-        sim.wire = FaultInjectingWire([])
+        sim.wire = OpaqueWire()
         sim.advance(6_000)
         assert sim.ff_stats.round_spans == 0
         assert sim.ff_stats.round_records == 0
+        assert sim.ff_stats.round_misses["custom_wire"] > 0
 
     def test_deadline_declines(self):
         sim = fight_sim()
@@ -254,12 +268,46 @@ class TestRoundMemo:
         reference.advance(8_000, policy="off")
         assert state_of(sim) == state_of(reference)
 
-    def test_error_state_change_declines(self):
+    def test_error_state_change_replays(self):
         sim = fight_sim()
-        sim.advance(6_000)
+        sim.advance(12_000)
         # Every bus-off cycle crosses error-active -> passive -> bus-off;
-        # the rounds that would cross a threshold are never replayed.
-        assert sim.ff_stats.round_misses["error_state"] > 0
+        # the first cycle records those rounds, the later ones replay them
+        # with the live counters in their ErrorStateChanged events.
+        stats = sim.ff_stats
+        assert stats.round_misses["transition"] > 0
+        reference = fight_sim()
+        reference.advance(12_000, policy="off")
+        assert state_of(sim) == state_of(reference)
+        changes = [e for e in sim.events if type(e).__name__ == "ErrorStateChanged"]
+        assert len(changes) >= 4
+        memo = sim._engine()._rounds
+        replayed = [entry for variants in memo.entries.values()
+                    for entry in variants if entry.folds
+                    and any(fold.transitions for fold in entry.folds)]
+        assert replayed, "no transition round was kept"
+        assert stats.round_spans > stats.round_records
+
+    def test_transition_mismatch_declines(self):
+        sim = fight_sim()
+        sim.advance(12_000)
+        memo = sim._engine()._rounds
+        misses = sim.ff_stats.round_misses["transition"]
+        # Push the attacker's counter next to a threshold no recording
+        # crossed at that point: its round must be stepped, not replayed.
+        attacker = sim.node("attacker")
+        sim.advance_until(lambda s: attacker.state.name == "IDLE"
+                          and attacker.faults.state.name == "ERROR_ACTIVE"
+                          and attacker._start_tx_next, 5_000, policy="off")
+        attacker.faults.tec = 121
+        reference = fight_sim()
+        reference.advance(sim.time, policy="off")
+        reference.node("attacker").faults.tec = 121
+        sim.advance(3_000)
+        reference.advance(3_000, policy="off")
+        assert sim.ff_stats.round_misses["transition"] > misses
+        assert state_of(sim) == state_of(reference)
+        assert memo is sim._engine()._rounds
 
     def test_memo_is_bounded(self):
         sim = fight_sim()

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis.busoff_theory import undisturbed_busoff_bits
+from repro.analysis.busoff_theory import (
+    ROUNDS_PER_STATE,
+    error_active_time,
+    error_passive_time,
+    undisturbed_busoff_bits,
+)
 from repro.experiments.config import RunConfig
 from repro.experiments.runner import make_simulator
 from repro.experiments.scenarios import (
@@ -18,6 +23,7 @@ from repro.experiments.scenarios import (
     parrot_defense_setup,
     total_fight_bits,
 )
+from repro.trace.framelog import FINAL_PASSIVE_FRAME_BITS
 from repro.vehicle.features import FeatureState
 
 
@@ -135,3 +141,64 @@ class TestParkSense:
         assert outcome.feature.state is FeatureState.AVAILABLE
         assert outcome.dashboard == []
         assert outcome.attacker_busoff_count >= 1
+
+
+class TestFirstBusOffClosedForm:
+    @pytest.mark.parametrize("engine", ["fast", "bit"])
+    def test_exp1_first_busoff_follows_table_iii(self, engine):
+        """exp1's first attacker bus-off is the Table III closed form on
+        both engines: 15 error-active rounds of t_a, then error-passive
+        rounds of t_p (the 16th attempt already turns passive, so it ends
+        with the suspend), apart from rounds a benign frame interrupts.
+        The 31 completed rounds therefore take exactly
+        ``undisturbed_busoff_bits() - t_a``, and the 32nd ends at bus-off."""
+        from repro.bus.events import BusOffEntered, FrameStarted
+        from repro.experiments.campaign import ScenarioSpec
+
+        spec = ScenarioSpec("exp1", seed=0, duration_bits=4_000, engine=engine)
+        setup = spec.build()
+        result = setup.run(config=spec.run_config())
+        episode = result.episodes["attacker"][0]
+        assert episode.attempts == 2 * ROUNDS_PER_STATE
+        events = setup.sim.events
+        busoff = next(e.time for e in events if isinstance(e, BusOffEntered)
+                      and e.node == "attacker")
+        starts = [e.time for e in events if isinstance(e, FrameStarted)
+                  and e.node == "attacker" and e.time <= busoff]
+        rounds = [b - a for a, b in zip(starts, starts[1:])]
+        t_a, t_p = error_active_time(), error_passive_time()
+        assert rounds[:ROUNDS_PER_STATE - 1] == [t_a] * (ROUNDS_PER_STATE - 1)
+        passive = rounds[ROUNDS_PER_STATE - 1:]
+        interrupted = [r for r in passive if r != t_p]
+        assert len(interrupted) == episode.interruptions
+        assert all(r > t_p for r in interrupted)
+        completed = sum(rounds) - sum(r - t_p for r in interrupted)
+        assert completed == undisturbed_busoff_bits() - t_a
+        assert episode.end == busoff + FINAL_PASSIVE_FRAME_BITS
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("name", ["exp1", "chaos_fight"])
+    def test_finished_simulator_is_freed_by_reference_counting(self, name):
+        """No reference cycle keeps a finished simulator alive: with the
+        cyclic collector off, dropping the setup frees the simulator, its
+        nodes, engine and round memo at once."""
+        import gc
+        import weakref
+
+        from repro.experiments.campaign import ScenarioSpec
+
+        spec = ScenarioSpec(name, seed=0, duration_bits=6_000)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            setup = spec.build()
+            setup.run(config=spec.run_config())
+            assert setup.sim.ff_stats.fast_bits or name == "chaos_fight"
+            sim = weakref.ref(setup.sim)
+            del setup
+            assert sim() is None
+        finally:
+            if enabled:
+                gc.enable()
